@@ -16,16 +16,28 @@
 //!
 //! The implementation is the standard `O(n·k)` one: maintain each
 //! point's distance to the nearest selected center and scan for the
-//! maximum. Two layers make that hot loop run at hardware speed:
+//! maximum. Three layers make that hot loop run at hardware speed:
 //!
 //! * the relax step goes through the [`Metric::relax`] batch hook, so
 //!   coordinate metrics use their vectorized, root-eliding kernels;
+//! * when `k ≥ 2` and the points have at most four coordinates, the
+//!   traversal first copies them, once, into one row-major buffer
+//!   ([`Metric::pack`]) and runs all `k` rounds on it with the flat
+//!   kernels ([`Metric::relax_packed`]); metrics and point types
+//!   without a packed kernel keep the per-point hook. Per-point heap
+//!   rows cost one pointer chase per point per round: on the
+//!   benchmark's `mapreduce` workload (12.5k-point `VecPoint`
+//!   partitions of R³, `k = 128`) packing cut the round-1 core-set
+//!   time from 0.175 s to 0.086 s per run (`BENCH_perfbench.jsonl`);
 //! * above [`metric::par::PAR_MIN_WORK`] points the relax+argmax pass
 //!   is chunked across scoped threads ([`gmm_with_threads`]), with the
 //!   per-chunk argmaxes combined in chunk order so the result is
 //!   **bit-identical** to the sequential traversal — same selection
 //!   order, same tie-breaks, same assignments, same distances
-//!   (enforced by `tests/parallel_gmm.rs`).
+//!   (enforced by `tests/parallel_gmm.rs`). Packed or not, each
+//!   worker relaxes its own chunk of the one input, and the packed
+//!   traversal is bit-identical to the per-point one
+//!   (`tests/packed_gmm.rs`).
 
 use metric::{par, Metric};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,10 +100,20 @@ pub fn gmm_with_threads<P: Sync, M: Metric<P>>(
     assert!(start < n, "start index out of range");
     let k = k.min(n);
     let span = diversity_obs::span("gmm.run_ns");
-    let out = if threads > 1 {
-        gmm_parallel(points, metric, k, start, threads)
+    // A single round sweeps the points once: nothing would reuse a copy.
+    let packed = if k >= 2 {
+        metric.pack(points, PACK_MAX_DIM)
     } else {
-        gmm_sequential(points, metric, k, start)
+        None
+    };
+    let rows = match &packed {
+        Some((flat, dim)) => Rows::Packed { flat, dim: *dim },
+        None => Rows::Points(points),
+    };
+    let out = if threads > 1 {
+        gmm_parallel(rows, n, metric, k, start, threads)
+    } else {
+        gmm_sequential(rows, n, metric, k, start)
     };
     drop(span);
     if diversity_obs::enabled() {
@@ -102,8 +124,66 @@ pub fn gmm_with_threads<P: Sync, M: Metric<P>>(
     out
 }
 
-fn gmm_sequential<P, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: usize) -> GmmOutcome {
-    let n = points.len();
+/// Widest rows the traversal packs (see [`Metric::pack`]). At
+/// `d ≤ 4` the copy costs at most 32 B per point — less than a
+/// `VecPoint`'s own heap allocation — and turns every one of the `k`
+/// rounds into a cache-linear sweep of the monomorphized flat kernels.
+/// Wider rows keep the per-point path, where the SIMD kernels already
+/// amortize their pointer gathers over `O(d)` work per point.
+const PACK_MAX_DIM: usize = 4;
+
+/// The traversal's input: the caller's points, or one row-major copy
+/// of their coordinates made by [`Metric::pack`].
+enum Rows<'a, P> {
+    Points(&'a [P]),
+    Packed { flat: &'a [f64], dim: usize },
+}
+
+// Derived impls would demand `P: Copy`; the variants are borrows.
+impl<P> Clone for Rows<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Rows<'_, P> {}
+
+impl<P> Rows<'_, P> {
+    /// Relaxes the points `range` against the point `center` (both
+    /// indices into the whole input) — bitwise-identical on either
+    /// layout, by the [`Metric::relax_packed`] contract.
+    fn relax<M: Metric<P>>(
+        self,
+        metric: &M,
+        center: usize,
+        range: std::ops::Range<usize>,
+        dists: &mut [f64],
+        assignment: &mut [usize],
+        cj: usize,
+    ) -> Option<(usize, f64)> {
+        match self {
+            Rows::Points(points) => {
+                metric.relax(&points[center], &points[range], dists, assignment, cj)
+            }
+            Rows::Packed { flat, dim } => metric.relax_packed(
+                &flat[center * dim..(center + 1) * dim],
+                &flat[range.start * dim..range.end * dim],
+                dim,
+                dists,
+                assignment,
+                cj,
+            ),
+        }
+    }
+}
+
+fn gmm_sequential<P, M: Metric<P>>(
+    rows: Rows<'_, P>,
+    n: usize,
+    metric: &M,
+    k: usize,
+    start: usize,
+) -> GmmOutcome {
     let mut selected = Vec::with_capacity(k);
     let mut insertion_dist = Vec::with_capacity(k);
     let mut assignment = vec![0usize; n];
@@ -121,14 +201,8 @@ fn gmm_sequential<P, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: us
         // assigned to the earliest center, as Algorithm 1 requires).
         // The hook returns the farthest survivor — the next candidate —
         // saving the separate argmax sweep over `dist_to_centers`.
-        let (far, far_dist) = metric
-            .relax(
-                &points[c],
-                points,
-                &mut dist_to_centers,
-                &mut assignment,
-                cj,
-            )
+        let (far, far_dist) = rows
+            .relax(metric, c, 0..n, &mut dist_to_centers, &mut assignment, cj)
             .expect("non-empty input");
         next = far;
         next_dist = far_dist;
@@ -152,13 +226,13 @@ fn gmm_sequential<P, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: us
 /// first-max-wins tie-break exactly. Relaxation is element-wise (the
 /// [`Metric::relax`] contract), so chunking cannot change any value.
 fn gmm_parallel<P: Sync, M: Metric<P>>(
-    points: &[P],
+    rows: Rows<'_, P>,
+    n: usize,
     metric: &M,
     k: usize,
     start: usize,
     threads: usize,
 ) -> GmmOutcome {
-    let n = points.len();
     let ranges = par::split_ranges(n, threads);
     let workers = ranges.len();
 
@@ -190,7 +264,6 @@ fn gmm_parallel<P: Sync, M: Metric<P>>(
             let (assign_chunk, assign_tail) = assign_rest.split_at_mut(range.len());
             dist_rest = dist_tail;
             assign_rest = assign_tail;
-            let chunk_points = &points[range.clone()];
             let lo = range.start;
             let (center, locals, aborted) = (&center, &locals, &aborted);
             let (start_barrier, finish_barrier) = (&start_barrier, &finish_barrier);
@@ -201,8 +274,8 @@ fn gmm_parallel<P: Sync, M: Metric<P>>(
                     start_barrier.wait();
                     let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let c = center.load(Ordering::SeqCst);
-                        let (local_far, local_dist) = metric
-                            .relax(&points[c], chunk_points, dist_chunk, assign_chunk, cj)
+                        let (local_far, local_dist) = rows
+                            .relax(metric, c, range.clone(), dist_chunk, assign_chunk, cj)
                             .expect("chunks are non-empty");
                         *locals[w].lock().expect("no poisoning") = (lo + local_far, local_dist);
                     }));

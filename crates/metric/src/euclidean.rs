@@ -75,6 +75,22 @@ impl Metric<VecPoint> for Euclidean {
         )
     }
 
+    fn pack(&self, points: &[VecPoint], max_dim: usize) -> Option<(Vec<f64>, usize)> {
+        kernels::pack_rows(points.iter().map(VecPoint::coords), max_dim)
+    }
+
+    fn relax_packed(
+        &self,
+        center: &[f64],
+        flat: &[f64],
+        dim: usize,
+        dists: &mut [f64],
+        assignment: &mut [usize],
+        cj: usize,
+    ) -> Option<(usize, f64)> {
+        kernels::euclidean_relax_flat(center, flat, dim, dists, assignment, cj)
+    }
+
     fn distance_to_set_within(&self, p: &VecPoint, set: &[VecPoint], threshold: f64) -> bool {
         kernels::euclidean_within(p.coords(), set.iter().map(VecPoint::coords), threshold)
     }

@@ -20,10 +20,18 @@
 //!    relax sweep and GMM never re-reads the distance array.
 //! 4. **Flat-buffer blocking.** Contiguous [`crate::DenseStore`] runs
 //!    are processed `BLOCK` points at a time straight from the flat
-//!    coordinate buffer — no per-row slice plumbing — with the run
-//!    check itself folded into each block (one offset comparison per
-//!    row, verified exactly; a permuted batch silently takes the
-//!    per-row path).
+//!    coordinate buffer — no per-row slice plumbing — after an exact
+//!    upfront run check (a permuted batch silently takes the per-row
+//!    path).
+//! 5. **Packing for repeated sweeps.** Per-point rows ([`crate::VecPoint`])
+//!    cost a pointer chase per point. For one sweep over rows
+//!    allocated in order that holds parity with a flat buffer, but a
+//!    GMM traversal sweeps the same scattered rows `k` times, so at
+//!    `d ≤ 4` it copies them once ([`pack_rows`], the
+//!    [`crate::Metric::pack`] hook) and runs every round on the flat
+//!    kernels: ~2× less round-1 core-set time on the benchmark's
+//!    `mapreduce` workload (12.5k R³ points, `k = 128`; see
+//!    `diversity_core::gmm`).
 //!
 //! All accumulations use the **same association order** as the scalar
 //! metrics (`((0 + t_0) + t_1) + …`), and Rust never contracts `a*b+c`
@@ -255,8 +263,33 @@ pub(crate) fn manhattan_relax<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Flat-buffer kernels (contiguous `DenseStore` data)
+// Flat-buffer kernels (contiguous `DenseStore` runs, packed rows)
 // ---------------------------------------------------------------------
+
+/// Copies equal-length coordinate rows into one row-major buffer: the
+/// [`crate::Metric::pack`] hook of the per-row point types. `None` if
+/// there are no rows, or they are empty, ragged or wider than
+/// `max_dim` — the caller then keeps its per-row path.
+pub(crate) fn pack_rows<'a>(
+    mut rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    max_dim: usize,
+) -> Option<(Vec<f64>, usize)> {
+    let n = rows.len();
+    let first = rows.next()?;
+    let dim = first.len();
+    if dim == 0 || dim > max_dim {
+        return None;
+    }
+    let mut flat = Vec::with_capacity(n * dim);
+    flat.extend_from_slice(first);
+    for row in rows {
+        if row.len() != dim {
+            return None;
+        }
+        flat.extend_from_slice(row);
+    }
+    Some((flat, dim))
+}
 
 /// Lanes per block. 8 × d=3 rows = 192 bytes, three cache lines —
 /// enough for the vectorizer, small enough to keep the hit-path cheap.
@@ -293,7 +326,10 @@ pub(crate) fn manhattan_relax_flat(
         }
         consider_max(&mut best, i, dists[i]);
     }
-    diversity_obs::count("kernel.relax_fused_rounds", 1);
+    if diversity_obs::enabled() {
+        diversity_obs::count("kernel.distances", dists.len() as u64);
+        diversity_obs::count("kernel.relax_fused_rounds", 1);
+    }
     best
 }
 

@@ -43,6 +43,22 @@ impl Metric<VecPoint> for Manhattan {
             cj,
         )
     }
+
+    fn pack(&self, points: &[VecPoint], max_dim: usize) -> Option<(Vec<f64>, usize)> {
+        kernels::pack_rows(points.iter().map(VecPoint::coords), max_dim)
+    }
+
+    fn relax_packed(
+        &self,
+        center: &[f64],
+        flat: &[f64],
+        dim: usize,
+        dists: &mut [f64],
+        assignment: &mut [usize],
+        cj: usize,
+    ) -> Option<(usize, f64)> {
+        kernels::manhattan_relax_flat(center, flat, dim, dists, assignment, cj)
+    }
 }
 
 impl Metric<DenseRow<'_>> for Manhattan {

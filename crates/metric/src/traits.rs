@@ -104,6 +104,47 @@ pub trait Metric<P: ?Sized>: Send + Sync {
         crate::argmax(dists).map(|i| (i, dists[i]))
     }
 
+    /// Packing hook: copies the coordinates of `points` into one
+    /// row-major buffer, returning `(flat, dim)` — or `None` when this
+    /// metric has no kernel over packed rows, `points` is empty, the
+    /// points disagree on dimension, or that dimension exceeds
+    /// `max_dim`. A caller that sweeps the same points many times (the
+    /// GMM traversal) packs once and then runs every sweep through
+    /// [`Metric::relax_packed`] on the contiguous copy.
+    ///
+    /// The default is `None`, which keeps such callers on
+    /// [`Metric::relax`].
+    fn pack(&self, points: &[P], max_dim: usize) -> Option<(Vec<f64>, usize)>
+    where
+        P: Sized,
+    {
+        let _ = (points, max_dim);
+        None
+    }
+
+    /// [`Metric::relax`] over rows produced by [`Metric::pack`]:
+    /// `center` is one packed row and `flat` holds `dists.len()`
+    /// consecutive packed rows of `dim` coordinates. The effect on
+    /// `dists` / `assignment` and the returned argmax MUST be
+    /// bitwise-identical to [`Metric::relax`] on the points the rows
+    /// were packed from.
+    ///
+    /// # Panics
+    /// The default panics: only metrics whose [`Metric::pack`] can
+    /// return `Some` are ever handed packed rows, and they override it.
+    fn relax_packed(
+        &self,
+        center: &[f64],
+        flat: &[f64],
+        dim: usize,
+        dists: &mut [f64],
+        assignment: &mut [usize],
+        cj: usize,
+    ) -> Option<(usize, f64)> {
+        let _ = (center, flat, dim, dists, assignment, cj);
+        unreachable!("relax_packed called on a metric that does not pack")
+    }
+
     /// Early-exit membership check: `true` iff some `q ∈ set` has
     /// `d(p, q) <= threshold`. Scanning stops at the first hit, so on
     /// covered inputs this inspects far fewer points than
@@ -156,6 +197,27 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
         P: Sized,
     {
         (**self).relax(center, points, dists, assignment, cj)
+    }
+
+    #[inline]
+    fn pack(&self, points: &[P], max_dim: usize) -> Option<(Vec<f64>, usize)>
+    where
+        P: Sized,
+    {
+        (**self).pack(points, max_dim)
+    }
+
+    #[inline]
+    fn relax_packed(
+        &self,
+        center: &[f64],
+        flat: &[f64],
+        dim: usize,
+        dists: &mut [f64],
+        assignment: &mut [usize],
+        cj: usize,
+    ) -> Option<(usize, f64)> {
+        (**self).relax_packed(center, flat, dim, dists, assignment, cj)
     }
 
     #[inline]

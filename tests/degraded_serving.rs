@@ -27,7 +27,8 @@ use proptest::prelude::*;
 use std::sync::{Arc, Mutex, Once};
 use std::time::Duration;
 
-/// Tests that install a process-global fault plan are serialized.
+/// Every test that builds a pool is serialized: a sibling's
+/// process-global fault plan would otherwise hit its seed inserts.
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Injected panics are expected; keep them off stderr.
@@ -78,6 +79,7 @@ proptest! {
     /// last-known occupancy exactly.
     #[test]
     fn degraded_answers_stay_certified_for_any_quarantined_subset(mask in 1usize..15) {
+        let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let problem = Problem::RemoteEdge;
         let k = 4;
         let task = Task::new(problem, k).budget(Budget::KPrime(16));
@@ -131,6 +133,7 @@ proptest! {
 /// [`DivError::PoolUnavailable`], not a panic or an empty report.
 #[test]
 fn fully_quarantined_pool_refuses_typed() {
+    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let pool = seeded_pool(&task);
     for s in 0..4 {
@@ -221,6 +224,7 @@ fn recovered_pool_is_bit_identical_to_a_never_failed_one() {
 /// text, and structural corruption (dangling links) inside a shard.
 #[test]
 fn corrupt_pool_checkpoints_are_rejected_typed() {
+    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let pool = seeded_pool(&task);
     let state = pool.checkpoint().expect("checkpoint");
@@ -291,6 +295,7 @@ fn corrupt_pool_checkpoints_are_rejected_typed() {
 /// exactly like the unbounded query.
 #[test]
 fn deadline_budgets_degrade_deterministically() {
+    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let task = Task::new(Problem::RemoteEdge, 4).budget(Budget::KPrime(16));
     let pool = seeded_pool(&task);
 
