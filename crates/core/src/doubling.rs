@@ -519,24 +519,29 @@ impl<P: Clone, Y: Payload<P>> DoublingCore<P, Y> {
     }
 
     fn min_pairwise<M: Metric<P>>(&self, metric: &M) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for i in 1..self.centers.len() {
-            for j in 0..i {
-                let d = metric.distance(&self.centers[i].point, &self.centers[j].point);
-                best = Some(best.map_or(d, |b: f64| b.min(d)));
-            }
-        }
-        best
+        self.pairwise_min_where(metric, |_| true)
     }
 
     fn min_positive_pairwise<M: Metric<P>>(&self, metric: &M) -> Option<f64> {
+        self.pairwise_min_where(metric, |d| d > 0.0)
+    }
+
+    /// Smallest center-pair distance `d(i, j)`, `j < i`, that passes
+    /// `keep`, folded row by row in the same order as a scalar double
+    /// loop; each row is one [`Metric::distance_many`] call over the
+    /// center mirror.
+    fn pairwise_min_where<M: Metric<P>>(
+        &self,
+        metric: &M,
+        keep: impl Fn(f64) -> bool,
+    ) -> Option<f64> {
+        let points = &self.center_points;
+        let mut row = vec![0.0; points.len()];
         let mut best: Option<f64> = None;
-        for i in 1..self.centers.len() {
-            for j in 0..i {
-                let d = metric.distance(&self.centers[i].point, &self.centers[j].point);
-                if d > 0.0 {
-                    best = Some(best.map_or(d, |b: f64| b.min(d)));
-                }
+        for i in 1..points.len() {
+            metric.distance_many(&points[i], &points[..i], &mut row[..i]);
+            for &d in row[..i].iter().filter(|&&d| keep(d)) {
+                best = Some(best.map_or(d, |b: f64| b.min(d)));
             }
         }
         best

@@ -63,19 +63,17 @@ impl DistanceMatrix {
 
     /// Fills `out` with the packed-triangle entries of rows
     /// `first_row..` of `points` (row `i` contributes `d(i, j)` for all
-    /// `j < i`), stopping when `out` is full.
+    /// `j < i`); `out` holds exactly those entries. Each row is one
+    /// [`Metric::distance_many`] call, so the metric's batch kernel
+    /// serves the matrix, bit for bit equal to the scalar loop.
     fn fill_rows<P, M: Metric<P>>(points: &[P], metric: &M, first_row: usize, out: &mut [f64]) {
-        let mut cursor = 0usize;
+        let mut rest = out;
         for i in first_row..points.len() {
-            for j in 0..i {
-                if cursor == out.len() {
-                    return;
-                }
-                out[cursor] = metric.distance(&points[i], &points[j]);
-                cursor += 1;
-            }
+            let (row, tail) = rest.split_at_mut(i);
+            metric.distance_many(&points[i], &points[..i], row);
+            rest = tail;
         }
-        debug_assert_eq!(cursor, out.len(), "row block under-filled");
+        debug_assert!(rest.is_empty(), "row block under-filled");
     }
 
     /// Partitions rows `1..n` into at most `parts` contiguous blocks of

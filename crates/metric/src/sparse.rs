@@ -8,9 +8,17 @@ use serde::{Deserialize, Serialize};
 /// This is the representation of the musiXmatch-style workloads: each
 /// song is the word-count vector of the 5,000 most frequent words, with
 /// typically only a few dozen nonzero entries. Caching `‖v‖₂` at
-/// construction makes the cosine distance a single sparse dot product,
-/// which matters for the streaming-throughput experiment (Figure 3).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// construction leaves the cosine distance one sparse dot product: a
+/// sorted merge for a single pair ([`SparseVector::dot`]), or one
+/// gather per target when [`crate::CosineDistance`]'s batch kernel has
+/// scattered the probe, which matters for the streaming-throughput
+/// experiment (Figure 3).
+///
+/// Deserialization enforces the invariants [`SparseVector::new`]
+/// establishes — strictly increasing dimensions, finite nonzero values,
+/// and a norm equal to the recomputed one — and rejects any input that
+/// breaks them.
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SparseVector {
     /// Nonzero entries, strictly sorted by dimension id.
     entries: Vec<(u32, f64)>,
@@ -40,7 +48,7 @@ impl SparseVector {
             }
         }
         merged.retain(|&(_, v)| v != 0.0);
-        let norm = merged.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+        let norm = norm_of(&merged);
         Self {
             entries: merged,
             norm,
@@ -120,6 +128,45 @@ impl SparseVector {
     }
 }
 
+/// `‖v‖₂` of sorted entries, summed in dimension order.
+fn norm_of(entries: &[(u32, f64)]) -> f64 {
+    entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
+}
+
+/// The serialized fields, decoded before [`SparseVector`]'s invariants
+/// are checked.
+#[derive(Deserialize)]
+struct RawSparseVector {
+    entries: Vec<(u32, f64)>,
+    norm: f64,
+}
+
+impl Deserialize for SparseVector {
+    fn deserialize_json(p: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let RawSparseVector { entries, norm } = RawSparseVector::deserialize_json(p)?;
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(serde::Error::custom(format!(
+                "SparseVector dimensions not strictly increasing: {} then {}",
+                w[0].0, w[1].0
+            )));
+        }
+        if let Some(&(d, v)) = entries.iter().find(|(_, v)| *v == 0.0 || !v.is_finite()) {
+            return Err(serde::Error::custom(format!(
+                "SparseVector value at dimension {d} is {v}; values must be finite and nonzero"
+            )));
+        }
+        // `!=`, not bitwise: the empty vector's norm is `±0.0`
+        // depending on how it was built.
+        let expect = norm_of(&entries);
+        if norm != expect {
+            return Err(serde::Error::custom(format!(
+                "SparseVector norm {norm} differs from its entries' norm {expect}"
+            )));
+        }
+        Ok(Self { entries, norm })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,5 +224,76 @@ mod tests {
     #[should_panic]
     fn rejects_nan() {
         let _ = SparseVector::new(vec![(0, f64::NAN)]);
+    }
+
+    fn decode(json: &str) -> Result<SparseVector, serde::Error> {
+        SparseVector::deserialize_json(&mut serde::Parser::new(json))
+    }
+
+    fn encode(v: &SparseVector) -> String {
+        let mut out = String::new();
+        v.serialize_json(&mut out);
+        out
+    }
+
+    #[test]
+    fn serde_roundtrip_is_exact() {
+        for v in [
+            SparseVector::empty(),
+            SparseVector::new(vec![(4, 0.1), (1, -3.7), (900, 1e-300), (2, 1e300)]),
+            SparseVector::new((0..40).map(|d| (d * 13, 1.0 / (d + 1) as f64)).collect()),
+        ] {
+            let back = decode(&encode(&v)).expect("valid vector decodes");
+            assert_eq!(back, v);
+            assert_eq!(back.norm().to_bits(), v.norm().to_bits());
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_unsorted_dimensions() {
+        let err = decode(r#"{"entries":[[5,1.0],[1,2.0]],"norm":2.23606797749979}"#);
+        assert!(err.unwrap_err().to_string().contains("strictly increasing"));
+    }
+
+    #[test]
+    fn deserialize_rejects_duplicate_dimensions() {
+        let err = decode(r#"{"entries":[[1,3.0],[1,4.0]],"norm":5}"#);
+        assert!(err.unwrap_err().to_string().contains("strictly increasing"));
+    }
+
+    #[test]
+    fn deserialize_rejects_zero_values() {
+        for json in [
+            r#"{"entries":[[1,0.0]],"norm":0}"#,
+            r#"{"entries":[[1,-0.0],[2,1.0]],"norm":1}"#,
+        ] {
+            let err = decode(json).unwrap_err().to_string();
+            assert!(err.contains("finite and nonzero"), "{json}: {err}");
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_non_finite_values() {
+        for value in [r#""nan""#, r#""inf""#, r#""-inf""#] {
+            let json = format!(r#"{{"entries":[[1,{value}]],"norm":"inf"}}"#);
+            let err = decode(&json).unwrap_err().to_string();
+            assert!(err.contains("finite and nonzero"), "{json}: {err}");
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_a_stale_norm() {
+        for json in [
+            r#"{"entries":[[0,3.0],[9,4.0]],"norm":5.000000000000001}"#,
+            r#"{"entries":[[0,3.0],[9,4.0]],"norm":"nan"}"#,
+            r#"{"entries":[],"norm":1}"#,
+        ] {
+            let err = decode(json).unwrap_err().to_string();
+            assert!(err.contains("differs"), "{json}: {err}");
+        }
+        assert_eq!(
+            decode(r#"{"entries":[[0,3.0],[9,4.0]],"norm":5}"#).unwrap(),
+            SparseVector::new(vec![(9, 4.0), (0, 3.0)])
+        );
     }
 }

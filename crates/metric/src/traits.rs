@@ -39,7 +39,10 @@ pub trait Metric<P: ?Sized>: Send + Sync {
     ///
     /// The default is the obvious loop over [`Metric::distance`];
     /// metrics with a cheap coordinate representation (Euclidean,
-    /// Manhattan, Lp) override it with an auto-vectorizable kernel.
+    /// Manhattan, Lp) override it with an auto-vectorizable kernel, and
+    /// sparse cosine with a scatter–gather kernel that scatters `p`
+    /// once. [`crate::DistanceMatrix`] fills each of its rows with one
+    /// call.
     /// Overrides MUST be *bitwise-identical* to the default loop — the
     /// algorithms in `diversity-core` rely on this for deterministic,
     /// layout-independent results, and the property tests in

@@ -1,7 +1,8 @@
 //! Property tests: the batch hooks (`distance_many`, `relax`,
 //! `distance_to_set_within`) are **bitwise-equal** to the scalar
 //! `distance` loops for every shipped metric, on both point layouts
-//! (`VecPoint` and `DenseStore` rows).
+//! (`VecPoint` and `DenseStore` rows) and on sparse cosine vectors, and
+//! the `DistanceMatrix` built through them equals the scalar one.
 //!
 //! This is the contract that lets the parallel GMM, the streaming
 //! update step, and the SoA store swap freely between scalar, batched,
@@ -11,8 +12,8 @@
 //! optimization these tests exist to police.
 
 use metric::{
-    BitSetPoint, Chebyshev, CosineDistance, DenseStore, Euclidean, Hamming, Jaccard, Levenshtein,
-    Lp, Manhattan, Metric, SparseVector, VecPoint,
+    BitSetPoint, Chebyshev, CosineDistance, DenseStore, DistanceMatrix, Euclidean, Hamming,
+    Jaccard, Levenshtein, Lp, Manhattan, Metric, SparseVector, VecPoint,
 };
 use proptest::prelude::*;
 
@@ -184,18 +185,122 @@ proptest! {
     }
 }
 
-/// Sparse cosine vectors through the default hooks (separate from the
-/// proptest block purely for strategy simplicity).
+/// A random sparse corpus with the scatter–gather kernel's edge cases
+/// mixed in: negative values, duplicate documents, the empty vector,
+/// dimensions far past most probes' largest, and probes just below,
+/// at, and far above the scatter cap (the last two take the scalar
+/// fallback). Shares a low dimension with the random documents so the
+/// large-dimension probes still have nonzero dot products.
+fn sparse_corpus() -> impl Strategy<Value = Vec<SparseVector>> {
+    (
+        prop::collection::vec(
+            prop::collection::vec((0u32..48, -10.0..10.0f64), 0..14),
+            2..24,
+        ),
+        0usize..1000,
+        -10.0..10.0f64,
+    )
+        .prop_map(|(raw, dup_sel, x)| {
+            let mut docs: Vec<SparseVector> = raw.into_iter().map(SparseVector::new).collect();
+            docs.push(docs[dup_sel % docs.len()].clone());
+            docs.push(SparseVector::empty());
+            let cap = CosineDistance::SCATTER_DIM_CAP;
+            docs.push(SparseVector::new(vec![(3, x), (40, 1.0), (700, -x)]));
+            docs.push(SparseVector::new(vec![(3, 1.0), (cap - 1, x)]));
+            docs.push(SparseVector::new(vec![(3, -x), (cap, 2.0)]));
+            docs.push(SparseVector::new(vec![(5, x), (u32::MAX, 1.0)]));
+            docs.insert(dup_sel % docs.len(), docs[0].clone());
+            docs
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sparse cosine's scatter–gather `distance_many` is bit-for-bit
+    /// the scalar loop, for every probe of the corpus in turn. The
+    /// probes run back to back on one thread, so a scratch buffer left
+    /// dirty by one probe would corrupt the next one's distances; the
+    /// first probe is re-run at the end for the same reason.
+    #[test]
+    fn sparse_cosine_kernel_bitwise_equal(docs in sparse_corpus()) {
+        let n = docs.len();
+        let mut out = vec![0.0f64; n];
+        for probe in (0..n).chain([0]) {
+            CosineDistance.distance_many(&docs[probe], &docs, &mut out);
+            let expect = reference_many(&CosineDistance, &docs[probe], &docs);
+            for i in 0..n {
+                prop_assert_eq!(out[i].to_bits(), expect[i].to_bits());
+            }
+        }
+        check_batch_hooks(&CosineDistance, &docs, n - 1);
+        check_batch_hooks(&&CosineDistance, &docs, 0);
+    }
+}
+
+/// Every cell of `m` equals scalar `distance` on its pair, bit for bit.
+fn assert_matrix_is_scalar<P, M: Metric<P>>(m: &M, points: &[P], dm: &DistanceMatrix) {
+    let reference =
+        DistanceMatrix::from_fn(points.len(), |i, j| m.distance(&points[i], &points[j]));
+    assert_eq!(dm.len(), points.len());
+    for i in 0..points.len() {
+        for j in 0..points.len() {
+            assert_eq!(
+                dm.get(i, j).to_bits(),
+                reference.get(i, j).to_bits(),
+                "matrix cell ({i}, {j})"
+            );
+        }
+    }
+}
+
+/// `DistanceMatrix` rows go through `distance_many`; sequential and
+/// parallel builds still equal the scalar `from_fn` matrix bit for bit.
+/// 240 points make 28,680 pairs, above `PAR_MIN_WORK`, so `build` takes
+/// the parallel row blocks too when more than one thread is available.
 #[test]
-fn sparse_cosine_bitwise_equal() {
-    let docs: Vec<SparseVector> = (0..12)
+fn distance_matrix_rows_match_scalar_distances() {
+    let n = 240;
+    assert!(n * (n - 1) / 2 >= metric::par::PAR_MIN_WORK);
+    let docs: Vec<SparseVector> = (0..n)
         .map(|i| {
+            if i % 37 == 0 {
+                return SparseVector::empty();
+            }
             SparseVector::new(
-                (0..6)
-                    .map(|j| (((i * 7 + j * 13) % 40) as u32, 1.0 + (i + j) as f64))
+                (0..1 + i % 9)
+                    .map(|j| {
+                        let d = ((i * 7 + j * 13) % 60) as u32;
+                        (d, ((i * 31 + j * 17) % 23) as f64 - 11.0)
+                    })
                     .collect(),
             )
         })
         .collect();
-    check_batch_hooks(&CosineDistance, &docs, 5);
+    let points: Vec<VecPoint> = (0..n)
+        .map(|i| {
+            let t = i as f64;
+            VecPoint::new(vec![
+                (t * 0.37).sin() * 50.0,
+                (t * 0.61) % 7.0,
+                -(t * 1.3) % 11.0,
+            ])
+        })
+        .collect();
+    for threads in [1usize, 3] {
+        let dm = DistanceMatrix::build_with_threads(&docs, &CosineDistance, threads);
+        assert_matrix_is_scalar(&CosineDistance, &docs, &dm);
+        let dm = DistanceMatrix::build_with_threads(&points, &Euclidean, threads);
+        assert_matrix_is_scalar(&Euclidean, &points, &dm);
+    }
+    assert_matrix_is_scalar(
+        &CosineDistance,
+        &docs,
+        &DistanceMatrix::build(&docs, &CosineDistance),
+    );
+    assert_matrix_is_scalar(
+        &Euclidean,
+        &points,
+        &DistanceMatrix::build(&points, &Euclidean),
+    );
 }

@@ -29,10 +29,16 @@ use diversity::prelude::*;
 use diversity_faults as faults;
 use diversity_serve::{rebalance_state, PoolState, RebalanceConfig, Serve, ShardPool, ShardedId};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once};
 
-/// Tests that install a process-global fault plan are serialized.
+/// The fault plan is process-global, so every test that seeds or
+/// queries a pool holds this lock: a sibling's `panic = 1.0` plan would
+/// otherwise fire inside an unrelated test's inserts.
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Injected panics are expected; keep them off stderr.
 fn quiet_injected_panics() {
@@ -85,6 +91,7 @@ proptest! {
         placements in proptest::collection::vec(0usize..4, 12..60),
         problem_idx in 0usize..2,
     ) {
+        let _serial = serial();
         let problem = [Problem::RemoteEdge, Problem::RemoteClique][problem_idx];
         let k = 3;
         let task = Task::new(problem, k).budget(Budget::KPrime(12));
@@ -133,6 +140,7 @@ proptest! {
 /// exactly-once pacing, strictly lower skew, resolvable old handles.
 #[test]
 fn skew_trigger_paces_and_old_handles_keep_resolving() {
+    let _serial = serial();
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let (pool, ids) = skewed_pool(&task, 4, 40);
     let before = pool.query(&task).expect("pre-rebalance answer");
@@ -209,7 +217,7 @@ fn skew_trigger_paces_and_old_handles_keep_resolving() {
 /// same answers, same skew, same remap table — all-or-nothing.
 #[test]
 fn mid_swap_panic_leaves_the_old_pool_serving_unchanged_answers() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     quiet_injected_panics();
     let task = Task::new(Problem::RemoteClique, 3).budget(Budget::KPrime(12));
     let (pool, ids) = skewed_pool(&task, 4, 30);
@@ -261,6 +269,7 @@ fn mid_swap_panic_leaves_the_old_pool_serving_unchanged_answers() {
 /// to the live pool.
 #[test]
 fn restored_pools_resolve_pre_rebalance_handles() {
+    let _serial = serial();
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let (pool, ids) = skewed_pool(&task, 3, 24);
     pool.rebalance().expect("rebalance");
@@ -316,6 +325,7 @@ fn sharded_id_try_encode_refuses_unrepresentable_handles() {
 /// and every remap target against the checkpoint it arrives in.
 #[test]
 fn restore_rejects_shard_count_and_remap_mismatches() {
+    let _serial = serial();
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let (pool, _) = skewed_pool(&task, 4, 20);
     let good = pool.checkpoint().expect("checkpoint");
@@ -356,6 +366,7 @@ fn restore_rejects_shard_count_and_remap_mismatches() {
 /// same side of every threshold as "balanced".
 #[test]
 fn balanced_and_empty_pools_never_trigger() {
+    let _serial = serial();
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let config = RebalanceConfig {
         threshold: 1.01,
