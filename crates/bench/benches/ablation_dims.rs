@@ -1,23 +1,23 @@
 //! Dimension-sweep ablation of the high-dimensional fast path: scalar
-//! vs runtime-dispatched SIMD kernels, row-major vs column-major
-//! layout, plain vs triangle-inequality-pruned GMM, and the
-//! end-to-end JL-projected pipeline — at `d ∈ {3, 128, 768}`.
+//! vs runtime-dispatched SIMD relax kernels, the sequential GMM
+//! traversal, and the end-to-end JL-projected pipeline — at
+//! `d ∈ {3, 128, 768}`.
 //!
 //! The kernel story is dimension-dependent: at `d = 3` the
 //! monomorphized fixed-`D` scalar kernels already saturate the memory
 //! bus and SIMD is deliberately not dispatched; from `d = 128` up, the
 //! across-points SIMD lanes and the projection stage are where the
 //! time goes. This bench records the crossover into `BENCH_dims.json`
-//! (workspace root). Scale with `DIVMAX_SCALE`, repetitions with
-//! `DIVMAX_TRIALS`; `DIVMAX_SIMD=off` forces every row to the scalar
-//! path (the forced-`force_mode` comparisons here override it on
-//! purpose — that is what they measure).
+//! (at `diversity_bench::record_path`). Scale with `DIVMAX_SCALE`,
+//! repetitions with `DIVMAX_TRIALS`; `DIVMAX_SIMD=off` forces every row
+//! to the scalar path (the forced-`force_mode` comparisons here
+//! override it on purpose — that is what they measure).
 
 use diversity::prelude::*;
-use diversity_bench::{scaled, timed, trials, Table};
-use diversity_core::gmm::{gmm_pruned, gmm_with_threads};
+use diversity_bench::{record_path, scaled, timed, trials, Table};
+use diversity_core::gmm::gmm_with_threads;
 use metric::simd::{self, SimdMode};
-use metric::{DenseStoreColMajor, Metric};
+use metric::Metric;
 
 /// Steady-state fused relax+argmax rounds, ns/point.
 fn time_relax<P, M: Metric<P>>(
@@ -41,10 +41,7 @@ struct DimRow {
     n: usize,
     relax_scalar: f64,
     relax_simd: f64,
-    relax_col: f64,
     gmm_secs: f64,
-    pruned_secs: f64,
-    pruned_skipped: u64,
     seq_secs: f64,
     proj_secs: f64,
     proj_dim: usize,
@@ -76,53 +73,33 @@ fn main() {
             datasets::embedding_clusters_dense(n, 16, dim, 0.02, seed)
         };
         let rows = store.rows();
-        let col = DenseStoreColMajor::from_store(&store);
-        let crows = col.rows();
         // reps sized so every cell streams a comparable op count.
         let reps = (60_000_000 / (n * dim)).max(2);
 
-        // ---- steady-state relax: scalar vs SIMD vs column-major ----
+        // ---- steady-state relax: scalar vs SIMD ----
         let warm = gmm_with_threads(&rows, &Euclidean, 8, 0, 1);
         let center = DenseRow::new(store.row(warm.selected[7]));
-        let ccenter = crows[warm.selected[7]];
-        let measure = |mode: Option<SimdMode>, col_major: bool| -> f64 {
-            simd::force_mode(mode);
+        let measure = |mode: SimdMode| -> f64 {
+            simd::force_mode(Some(mode));
             let mut d = warm.dist_to_centers.clone();
             let mut a = warm.assignment.clone();
-            let ns = if col_major {
-                time_relax(&Euclidean, &ccenter, &crows, &mut d, &mut a, reps)
-            } else {
-                time_relax(&Euclidean, &center, &rows, &mut d, &mut a, reps)
-            };
+            let ns = time_relax(&Euclidean, &center, &rows, &mut d, &mut a, reps);
             simd::force_mode(None);
             ns
         };
         // Interleave the variants within each trial round so clock
-        // drift (turbo decay on a shared vCPU) hits all three equally
+        // drift (turbo decay on a shared vCPU) hits both equally
         // instead of penalizing whichever runs last.
-        let (mut relax_scalar, mut relax_simd, mut relax_col) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut relax_scalar, mut relax_simd) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..trials {
-            relax_scalar = relax_scalar.min(measure(Some(SimdMode::Off), false));
-            relax_simd = relax_simd.min(measure(Some(SimdMode::On), false));
-            relax_col = relax_col.min(measure(Some(SimdMode::On), true));
+            relax_scalar = relax_scalar.min(measure(SimdMode::Off));
+            relax_simd = relax_simd.min(measure(SimdMode::On));
         }
 
-        // ---- GMM: plain vs triangle-inequality pruned (bit-identical) ----
-        let plain = gmm_with_threads(&rows, &Euclidean, k, 0, 1);
-        let registry = std::sync::Arc::new(diversity_obs::Registry::new());
-        diversity_obs::install(registry.clone());
-        let pruned = gmm_pruned(&rows, &Euclidean, k, 0);
-        diversity_obs::uninstall();
-        assert_eq!(plain.selected, pruned.selected, "pruned GMM diverged");
-        let pruned_skipped = registry
-            .snapshot_now()
-            .counter("kernel.pruned_relaxations")
-            .unwrap_or(0);
+        // ---- sequential GMM traversal ----
         let gmm_secs = min_of(trials, || {
             timed(|| gmm_with_threads(&rows, &Euclidean, k, 0, 1)).1
         });
-        let pruned_secs = min_of(trials, || timed(|| gmm_pruned(&rows, &Euclidean, k, 0)).1);
 
         // ---- end-to-end: plain sequential vs JL-projected ----
         let task = Task::new(Problem::RemoteEdge, k)
@@ -145,10 +122,7 @@ fn main() {
             n,
             relax_scalar,
             relax_simd,
-            relax_col,
             gmm_secs,
-            pruned_secs,
-            pruned_skipped,
             seq_secs,
             proj_secs,
             proj_dim,
@@ -160,7 +134,7 @@ fn main() {
     // ---- report ----
     let mut t = Table::new(
         &format!("relax kernel ns/point by dimension (dispatch: {dispatch})"),
-        &["d", "n", "scalar", "simd", "simd colmajor", "simd speedup"],
+        &["d", "n", "scalar", "simd", "simd speedup"],
     );
     for r in &results {
         t.row(vec![
@@ -168,19 +142,16 @@ fn main() {
             r.n.to_string(),
             format!("{:.2}", r.relax_scalar),
             format!("{:.2}", r.relax_simd),
-            format!("{:.2}", r.relax_col),
             format!("{:.2}x", r.relax_scalar / r.relax_simd),
         ]);
     }
     t.print();
 
     let mut t2 = Table::new(
-        "GMM pruning and projected end-to-end",
+        "GMM and projected end-to-end",
         &[
             "d",
             "gmm",
-            "gmm pruned",
-            "relax skipped",
             "seq e2e",
             "projected e2e",
             "proj d",
@@ -191,8 +162,6 @@ fn main() {
         t2.row(vec![
             r.dim.to_string(),
             format!("{:.3}s", r.gmm_secs),
-            format!("{:.3}s", r.pruned_secs),
-            r.pruned_skipped.to_string(),
             format!("{:.3}s", r.seq_secs),
             format!("{:.3}s", r.proj_secs),
             r.proj_dim.to_string(),
@@ -211,10 +180,9 @@ fn main() {
             concat!(
                 "    {{\n",
                 "      \"dim\": {}, \"n\": {},\n",
-                "      \"relax_ns_per_point\": {{ \"scalar\": {:.3}, \"simd\": {:.3}, \"simd_colmajor\": {:.3} }},\n",
+                "      \"relax_ns_per_point\": {{ \"scalar\": {:.3}, \"simd\": {:.3} }},\n",
                 "      \"simd_relax_speedup\": {:.3},\n",
-                "      \"gmm_seconds\": {{ \"plain\": {:.6}, \"pruned\": {:.6} }},\n",
-                "      \"pruned_relaxations\": {},\n",
+                "      \"gmm_seconds\": {:.6},\n",
                 "      \"e2e_seconds\": {{ \"seq\": {:.6}, \"projected\": {:.6} }},\n",
                 "      \"projected_dim\": {},\n",
                 "      \"projected_value_ratio\": {:.6},\n",
@@ -225,11 +193,8 @@ fn main() {
             r.n,
             r.relax_scalar,
             r.relax_simd,
-            r.relax_col,
             r.relax_scalar / r.relax_simd,
             r.gmm_secs,
-            r.pruned_secs,
-            r.pruned_skipped,
             r.seq_secs,
             r.proj_secs,
             r.proj_dim,
@@ -251,7 +216,7 @@ fn main() {
         ),
         k, eps, dispatch, dims_json
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_dims.json");
+    let path = record_path("dims");
     std::fs::write(&path, json).expect("write BENCH_dims.json");
     println!("\nwrote {}", path.display());
 }

@@ -12,8 +12,8 @@
 //!   [`ShardPool::recover`] cycles: a rebuild from checkpoint + log
 //!   replay, the MTTR of a shard after an isolated panic.
 //!
-//! Records the headline numbers into `BENCH_faults.json` at the
-//! workspace root (CI uploads it as an artifact).
+//! Records the headline numbers into `BENCH_faults.json` at
+//! `diversity_bench::record_path` (CI uploads it as an artifact).
 
 use diversity::prelude::*;
 use diversity_bench::{fmt_secs, scaled, timed, trials, Table};
@@ -138,7 +138,7 @@ fn main() {
         deg_ratio = degraded_secs / healthy_secs,
         recovery = recovery_median,
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_faults.json");
+    let path = diversity_bench::record_path("faults");
     std::fs::write(&path, json).expect("write BENCH_faults.json");
     println!("wrote {}", path.display());
 }

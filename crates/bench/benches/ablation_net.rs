@@ -15,8 +15,8 @@
 //!   ships `diversity::wire` bytes; both byte counts are recorded and
 //!   the binary form must be measurably smaller.
 //!
-//! Records the headline numbers into `BENCH_net.json` at the workspace
-//! root (CI uploads it as an artifact).
+//! Records the headline numbers into `BENCH_net.json` at
+//! `diversity_bench::record_path` (CI uploads it as an artifact).
 
 use diversity::prelude::*;
 use diversity::wire::to_bytes;
@@ -115,7 +115,7 @@ fn main() {
     // Checkpoint encoding economics: the Checkpoint opcode's binary
     // bytes vs the JSON serde path, same pool state.
     let pool = seeded_pool(&points);
-    let state = pool.checkpoint().expect("healthy checkpoint");
+    let state = pool.checkpoint_consistent().expect("healthy checkpoint");
     let bin_bytes = to_bytes(&state).len();
     let json_bytes = serde_json::to_string(&state).expect("serialize").len();
     let ratio = json_bytes as f64 / bin_bytes as f64;
@@ -165,7 +165,7 @@ fn main() {
         json_bytes = json_bytes,
         ratio = ratio,
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net.json");
+    let path = diversity_bench::record_path("net");
     std::fs::write(&path, json).expect("write BENCH_net.json");
     println!("wrote {}", path.display());
 }

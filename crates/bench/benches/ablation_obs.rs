@@ -17,7 +17,7 @@
 //! (insert p50/p99, warm-query p50/p99) come out of its histograms —
 //! the numbers a serving deployment would alert on.
 //!
-//! Writes `BENCH_obs.json` at the workspace root with both modes'
+//! Writes `BENCH_obs.json` at `diversity_bench::record_path` with both modes'
 //! timings and the enabled-mode quantiles. Overhead numbers are
 //! min-over-trials; treat small deltas as noise (CI only smoke-checks
 //! that the disabled mode is within a generous factor of enabled —
@@ -200,7 +200,7 @@ fn main() {
         qp50 = query_hist.p50(),
         qp99 = query_hist.p99(),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
+    let path = diversity_bench::record_path("obs");
     std::fs::write(&path, json).expect("write BENCH_obs.json");
     println!("wrote {}", path.display());
 }

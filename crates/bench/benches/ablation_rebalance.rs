@@ -15,8 +15,9 @@
 //! * **warm query latency** skewed vs rebalanced — the payoff: an
 //!   extraction bounded by the largest shard shrinks with it.
 //!
-//! Appends a `"rebalance"` section to `BENCH_serve.json` at the
-//! workspace root (CI uploads it with the serve ablation's numbers).
+//! Appends a `"rebalance"` section to the `BENCH_serve.json` at
+//! `diversity_bench::record_path`, the one the serve ablation wrote at
+//! the same scale (CI uploads them together).
 
 use diversity::prelude::*;
 use diversity_bench::{fmt_secs, scaled, timed, trials, Table};
@@ -119,7 +120,7 @@ fn main() {
     // serde_json exposes no dynamic `Value` to merge with). The section
     // is always the last key, so a re-run truncates at the marker and
     // re-appends — idempotent either way.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let path = diversity_bench::record_path("serve");
     let marker = ",\n  \"rebalance\":";
     let json = match std::fs::read_to_string(&path) {
         Ok(existing) => {

@@ -15,8 +15,8 @@
 //! * checkpoint size and snapshot/restore round-trip time, since a
 //!   serving fleet cycles through them on every deploy.
 //!
-//! Records the headline numbers into `BENCH_serve.json` at the
-//! workspace root (CI uploads it as an artifact).
+//! Records the headline numbers into `BENCH_serve.json` at
+//! `diversity_bench::record_path` (CI uploads it as an artifact).
 
 use diversity::prelude::*;
 use diversity_bench::{fmt_secs, scaled, timed, trials, Table};
@@ -101,8 +101,12 @@ fn main() {
 
         // Checkpoint economics.
         let (json, snap_secs) = timed(|| {
-            serde_json::to_string(&pool.checkpoint().expect("healthy pool checkpoints"))
-                .expect("serialize pool")
+            serde_json::to_string(
+                &pool
+                    .checkpoint_consistent()
+                    .expect("healthy pool checkpoints"),
+            )
+            .expect("serialize pool")
         });
         let (restored, restore_secs) = timed(|| {
             let state = serde_json::from_str(&json).expect("deserialize pool");
@@ -182,7 +186,7 @@ fn main() {
         "{{\n  \"bench\": \"serve\",\n  \"n\": {n},\n  \"shards\": {shards},\n{}\n}}\n",
         headline.join(",\n")
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let path = diversity_bench::record_path("serve");
     std::fs::write(&path, json).expect("write BENCH_serve.json");
     println!("wrote {}", path.display());
 }

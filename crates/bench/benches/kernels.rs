@@ -12,8 +12,9 @@
 //! * sequential vs parallel GMM at k = 128, and sequential vs parallel
 //!   `DistanceMatrix::build`;
 //!
-//! and writes the numbers to `BENCH_kernels.json` at the workspace
-//! root (machine-readable trajectory; the table below is for humans).
+//! and writes the numbers to `BENCH_kernels.json` at
+//! `diversity_bench::record_path` (machine-readable trajectory; the
+//! table below is for humans).
 //! `DIVMAX_THREADS` caps the parallel runs.
 
 use diversity_bench::{fmt_secs, scaled, timed, trials, Table};
@@ -316,7 +317,7 @@ obs: gmm run computed {distances} distances; {:.1}% of roots elided by the incum
         distances = distances,
         elided_ratio = elided_ratio,
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
+    let path = diversity_bench::record_path("kernels");
     std::fs::write(&path, json).expect("write BENCH_kernels.json");
     println!("\nwrote {}", path.display());
 }

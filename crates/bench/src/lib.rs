@@ -9,25 +9,73 @@
 //! The paper's experiments run up to 1.6 billion points on a 16-node
 //! cluster; the defaults here are laptop-sized. Scale with:
 //!
-//! * `DIVMAX_SCALE` — float multiplier applied to every dataset size
-//!   (e.g. `DIVMAX_SCALE=10 cargo bench` for a 10× run);
+//! * `DIVMAX_SCALE` — positive, finite multiplier applied to every
+//!   dataset size (e.g. `DIVMAX_SCALE=10 cargo bench` for a 10× run);
+//!   any other value panics naming the variable;
 //! * `DIVMAX_TRIALS` — number of repetitions averaged per cell
 //!   (default 3; the paper averages ≥ 10).
+//!
+//! ## Records
+//!
+//! Benches that keep a machine-readable record write it to
+//! [`record_path`]: `BENCH_<name>.json` at the repository root for a
+//! full-scale run, under `target/bench-smoke/` for any other scale, so
+//! a scaled-down smoke run never overwrites a committed reference.
 
 use diversity_core::{pipeline, Problem};
 use diversity_mapreduce::partition::split_random;
 use diversity_mapreduce::two_round::two_round;
 use diversity_mapreduce::MapReduceRuntime;
 use metric::Metric;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Parses a `DIVMAX_SCALE` value: a positive, finite float
+/// (whitespace-trimmed). Anything else is an error saying why.
+pub fn parse_scale(raw: &str) -> Result<f64, String> {
+    let scale: f64 = raw.trim().parse().map_err(|_| "not a number".to_string())?;
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err("not a positive, finite number".to_string())
+    }
+}
+
+/// The `DIVMAX_SCALE` multiplier (default 1), parsed once.
+///
+/// # Panics
+/// Panics, naming the variable and its value, if `DIVMAX_SCALE` is set
+/// to anything [`parse_scale`] rejects.
+pub fn scale() -> f64 {
+    static SCALE: OnceLock<f64> = OnceLock::new();
+    *SCALE.get_or_init(|| match std::env::var("DIVMAX_SCALE") {
+        Err(std::env::VarError::NotPresent) => 1.0,
+        Err(std::env::VarError::NotUnicode(raw)) => {
+            panic!("DIVMAX_SCALE={raw:?}: not valid unicode")
+        }
+        Ok(raw) => parse_scale(&raw).unwrap_or_else(|e| panic!("DIVMAX_SCALE={raw:?}: {e}")),
+    })
+}
 
 /// Applies `DIVMAX_SCALE` to a default dataset size.
 pub fn scaled(default_n: usize) -> usize {
-    let scale = std::env::var("DIVMAX_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0);
-    ((default_n as f64) * scale).max(1.0) as usize
+    ((default_n as f64) * scale()).max(1.0) as usize
+}
+
+/// Where a bench writes its record `BENCH_<name>.json`: the repository
+/// root at full scale, `target/bench-smoke/` (created if missing) at
+/// any other [`scale`].
+pub fn record_path(name: &str) -> PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if scale() == 1.0 {
+        root
+    } else {
+        let smoke = root.join("target/bench-smoke");
+        std::fs::create_dir_all(&smoke).expect("create target/bench-smoke");
+        smoke
+    };
+    dir.join(format!("BENCH_{name}.json"))
 }
 
 /// Number of trials per experimental cell (`DIVMAX_TRIALS`, default 3).
@@ -155,6 +203,32 @@ mod tests {
         if std::env::var("DIVMAX_SCALE").is_err() {
             assert_eq!(scaled(1000), 1000);
         }
+    }
+
+    #[test]
+    fn scale_accepts_positive_finite_values() {
+        assert_eq!(parse_scale("1"), Ok(1.0));
+        assert_eq!(parse_scale("0.1"), Ok(0.1));
+        assert_eq!(parse_scale(" 10 "), Ok(10.0));
+        assert_eq!(parse_scale("1e-3"), Ok(0.001));
+    }
+
+    #[test]
+    fn scale_rejects_everything_else() {
+        for bad in [
+            "", " ", "0.1x", "x", "1,5", "nan", "NaN", "inf", "-inf", "infinity", "-1", "0", "-0",
+            "0.0", "1e400",
+        ] {
+            assert!(parse_scale(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn record_path_names_the_record() {
+        let path = record_path("unit");
+        assert_eq!(path.file_name().unwrap(), "BENCH_unit.json");
+        let smoke = path.parent().unwrap().ends_with("target/bench-smoke");
+        assert_eq!(smoke, scale() != 1.0);
     }
 
     #[test]

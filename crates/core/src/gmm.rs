@@ -344,139 +344,6 @@ pub fn gmm_default<P: Sync, M: Metric<P>>(points: &[P], metric: &M, k: usize) ->
     gmm(points, metric, k, 0)
 }
 
-/// Relative slack on the triangle-inequality skip test, absorbing the
-/// rounding error of the two distance evaluations it compares. The
-/// relative error of a d-dimensional Euclidean distance is ≤ ~(d+2)·ε
-/// (d products, d−1 adds, one square root, each correctly rounded);
-/// the derivation in [`gmm_pruned`] needs margin ≳ 3·(d+2)·ε, so 1e-9
-/// covers every dimension up to ~10⁶ with three orders of magnitude to
-/// spare — while pruning distances differing by less than a part in
-/// 10⁹ saves nothing anyway.
-const PRUNE_MARGIN: f64 = 1e-9;
-
-/// [`gmm`] with Elkan-style triangle-inequality pruning: provably
-/// outcome-identical, and skips the bulk of the relax work once
-/// clusters separate.
-///
-/// When center `c` is added, a point `i` currently assigned to center
-/// `a` at distance `u = d(i, a)` can only improve if
-/// `d(c, a) < 2·d(i, c)`... more precisely, by the triangle inequality
-/// `d(i, c) ≥ d(c, a) − d(i, a)`, so whenever `d(c, a) ≥ 2u` the new
-/// center is at least `u` away and the relax update is a no-op
-/// (Elkan, ICML'03, lemma 1 adapted to k-center). Each round therefore
-/// computes the `O(k)` center-to-center distances and relaxes only the
-/// points whose skip test fails, in contiguous segments so the dense
-/// flat/SIMD kernels still stream.
-///
-/// **Why the outcome is bit-identical to [`gmm`]** (enforced by
-/// `prune_matches_plain_gmm` below and the property tests): the skip
-/// test uses a relative margin (`PRUNE_MARGIN`, 1e-9) ≫ the rounding error
-/// of the compared distances. Writing `δ` for that error and `d̂` for
-/// computed values, `d̂(c,a) ≥ 2u·(1+margin)` implies the *computed*
-/// `d̂(i,c) ≥ (d(c,a) − d(i,a))·(1−δ) ≥ u·(1+margin−3δ) > u`, so the
-/// scalar relax would have rejected the candidate too — skipped points
-/// keep identical `dists`/`assignment`, un-skipped points run the very
-/// same kernels, and the next center comes from the same global
-/// first-max argmax ([`metric::argmax`]) over identical distances.
-/// An infinite incumbent (`u = ∞`, first round) never satisfies the
-/// test, so uncovered points are never skipped.
-///
-/// Skipped relaxations are counted as `kernel.pruned_relaxations`.
-///
-/// # Panics
-/// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
-pub fn gmm_pruned<P: Sync, M: Metric<P>>(
-    points: &[P],
-    metric: &M,
-    k: usize,
-    start: usize,
-) -> GmmOutcome {
-    let n = points.len();
-    assert!(n > 0, "GMM requires a non-empty input");
-    assert!(k > 0, "GMM requires k > 0");
-    assert!(start < n, "start index out of range");
-    let k = k.min(n);
-    let span = diversity_obs::span("gmm.run_ns");
-
-    let mut selected = Vec::with_capacity(k);
-    let mut insertion_dist = Vec::with_capacity(k);
-    let mut assignment = vec![0usize; n];
-    let mut dist_to_centers = vec![f64::INFINITY; n];
-    let mut center_dist = Vec::with_capacity(k);
-    let mut pruned = 0u64;
-
-    let mut next = start;
-    let mut next_dist = f64::INFINITY;
-    for _ in 0..k {
-        let c = next;
-        selected.push(c);
-        insertion_dist.push(next_dist);
-        let cj = selected.len() - 1;
-
-        // O(cj) center-to-center distances — the price of admission,
-        // O(k²) total against the O(n·k) relaxations it avoids.
-        center_dist.clear();
-        center_dist.extend(
-            selected[..cj]
-                .iter()
-                .map(|&m| metric.distance(&points[c], &points[m])),
-        );
-
-        // Relax the survivors in contiguous segments, so a dense batch
-        // keeps its flat/SIMD streaming; the returned per-segment
-        // argmaxes are discarded in favour of one global scan below.
-        let mut seg_start = 0usize;
-        let mut i = 0usize;
-        while i <= n {
-            let skip = i < n
-                && center_dist
-                    .get(assignment[i])
-                    .is_some_and(|&dcc| dcc >= 2.0 * dist_to_centers[i] * (1.0 + PRUNE_MARGIN));
-            if skip || i == n {
-                if seg_start < i {
-                    metric.relax(
-                        &points[c],
-                        &points[seg_start..i],
-                        &mut dist_to_centers[seg_start..i],
-                        &mut assignment[seg_start..i],
-                        cj,
-                    );
-                }
-                if skip {
-                    pruned += 1;
-                }
-                seg_start = i + 1;
-            }
-            i += 1;
-        }
-
-        // `Metric::relax`'s fused argmax uses the same first-max rule,
-        // so this global scan selects exactly the center the unpruned
-        // traversal would.
-        let far = metric::argmax(&dist_to_centers).expect("non-empty input");
-        next = far;
-        next_dist = dist_to_centers[far];
-    }
-
-    drop(span);
-    if diversity_obs::enabled() {
-        diversity_obs::count("gmm.runs", 1);
-        diversity_obs::count("gmm.rounds", k as u64);
-        diversity_obs::count(
-            "gmm.relaxations",
-            (k as u64).saturating_mul(n as u64).saturating_sub(pruned),
-        );
-        diversity_obs::count("kernel.pruned_relaxations", pruned);
-    }
-
-    GmmOutcome {
-        selected,
-        insertion_dist,
-        assignment,
-        dist_to_centers,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,60 +455,5 @@ mod tests {
         let a = gmm(&pts, &Euclidean, 4, 2);
         let b = gmm(&pts, &Euclidean, 4, 2);
         assert_eq!(a.selected, b.selected);
-    }
-
-    #[test]
-    fn prune_matches_plain_gmm() {
-        // Clustered data is where the skip test actually fires; verify
-        // the pruned traversal is bit-identical anyway.
-        let mut pts = Vec::new();
-        for c in 0..6 {
-            let base = (c as f64) * 50.0;
-            for i in 0..40 {
-                let x = base + ((i * 7 + c) % 11) as f64 * 0.3;
-                let y = ((i * 13 + c * 5) % 17) as f64 * 0.25;
-                pts.push(VecPoint::from([x, y]));
-            }
-        }
-        for k in [1usize, 2, 5, 12] {
-            for start in [0usize, 3, 99] {
-                let plain = gmm_with_threads(&pts, &Euclidean, k, start, 1);
-                let pruned = gmm_pruned(&pts, &Euclidean, k, start);
-                assert_eq!(plain.selected, pruned.selected, "k={k} start={start}");
-                assert_eq!(plain.assignment, pruned.assignment);
-                let plain_bits: Vec<u64> =
-                    plain.dist_to_centers.iter().map(|d| d.to_bits()).collect();
-                let pruned_bits: Vec<u64> =
-                    pruned.dist_to_centers.iter().map(|d| d.to_bits()).collect();
-                assert_eq!(plain_bits, pruned_bits);
-                let ins_a: Vec<u64> = plain.insertion_dist.iter().map(|d| d.to_bits()).collect();
-                let ins_b: Vec<u64> = pruned.insertion_dist.iter().map(|d| d.to_bits()).collect();
-                assert_eq!(ins_a, ins_b);
-            }
-        }
-    }
-
-    #[test]
-    fn prune_actually_prunes_on_separated_clusters() {
-        let registry = std::sync::Arc::new(diversity_obs::Registry::new());
-        diversity_obs::install(registry.clone());
-        let mut pts = Vec::new();
-        for c in 0..4 {
-            for i in 0..100 {
-                pts.push(VecPoint::from([
-                    (c as f64) * 1000.0 + (i % 10) as f64 * 0.1,
-                    (i / 10) as f64 * 0.1,
-                ]));
-            }
-        }
-        let out = gmm_pruned(&pts, &Euclidean, 8, 0);
-        let snap = registry.snapshot_now();
-        diversity_obs::uninstall();
-        assert_eq!(out.selected.len(), 8);
-        let pruned = snap.counter("kernel.pruned_relaxations").unwrap_or(0);
-        assert!(
-            pruned > 0,
-            "well-separated clusters must trigger the skip test"
-        );
     }
 }

@@ -103,7 +103,7 @@ pub mod prelude {
     };
     pub use diversity_dynamic::{DynamicDiversity, PointId};
     pub use metric::{
-        ColRow, CosineDistance, DenseRow, DenseStore, DenseStoreColMajor, DistanceMatrix,
-        Euclidean, Jaccard, JlKind, JlProjection, Manhattan, Metric, SparseVector, VecPoint,
+        CosineDistance, DenseRow, DenseStore, DistanceMatrix, Euclidean, Jaccard, JlKind,
+        JlProjection, Manhattan, Metric, SparseVector, VecPoint,
     };
 }

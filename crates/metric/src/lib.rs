@@ -43,7 +43,6 @@
 
 mod bitset;
 mod chebyshev;
-mod colmajor;
 mod cosine;
 mod dense;
 mod discrete;
@@ -65,7 +64,6 @@ mod traits;
 
 pub use bitset::BitSetPoint;
 pub use chebyshev::Chebyshev;
-pub use colmajor::{ColRow, DenseStoreColMajor};
 pub use cosine::CosineDistance;
 pub use dense::VecPoint;
 pub use discrete::Discrete;

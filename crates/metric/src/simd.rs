@@ -200,21 +200,6 @@ pub enum Batch<'a> {
         /// The ambient dimension.
         dim: usize,
     },
-    /// Column-major (a [`crate::DenseStoreColMajor`] run):
-    /// `cols[j * stride + first + i]` — consecutive points' `j`-th
-    /// coordinates are adjacent, so lanes fill with unit-stride loads.
-    Col {
-        /// The transposed coordinate buffer, `dim · stride` values.
-        cols: &'a [f64],
-        /// Points per column (the owning store's `len`).
-        stride: usize,
-        /// Index of the batch's first point within the store.
-        first: usize,
-        /// Number of points in the batch.
-        len: usize,
-        /// The ambient dimension.
-        dim: usize,
-    },
 }
 
 impl Batch<'_> {
@@ -223,7 +208,6 @@ impl Batch<'_> {
         match *self {
             Batch::Flat { flat, dim } => flat.len() / dim,
             Batch::Ptrs { rows, .. } => rows.len(),
-            Batch::Col { len, .. } => len,
         }
     }
 
@@ -252,20 +236,6 @@ impl Batch<'_> {
                     assert_eq!(r.len(), d, "row {i} has wrong dimension");
                 }
             }
-            Batch::Col {
-                cols,
-                stride,
-                first,
-                len,
-                dim: d,
-            } => {
-                assert_eq!(d, dim, "batch/query dimension mismatch");
-                assert!(first + len <= stride, "batch range exceeds column stride");
-                assert!(
-                    d * stride <= cols.len(),
-                    "column buffer shorter than dim · stride"
-                );
-            }
         }
     }
 
@@ -276,20 +246,6 @@ impl Batch<'_> {
         match *self {
             Batch::Flat { flat, dim } => crate::kernels::l2_sq(center, &flat[i * dim..][..dim]),
             Batch::Ptrs { rows, .. } => crate::kernels::l2_sq(center, rows[i]),
-            Batch::Col {
-                cols,
-                stride,
-                first,
-                dim,
-                ..
-            } => {
-                let mut sum = 0.0;
-                for (j, &c) in center.iter().enumerate().take(dim) {
-                    let d = c - cols[j * stride + first + i];
-                    sum += d * d;
-                }
-                sum
-            }
         }
     }
 }
@@ -522,9 +478,8 @@ mod x86 {
     /// dimension vectors, then the accumulators consume dimensions
     /// `j, j+1, j+2, j+3` in order — the same per-lane accumulation
     /// order as the scalar kernel, at a quarter of the shuffle traffic
-    /// of per-dimension scalar gathers. The `dim % 4` tail (and the
-    /// strided `Col` layout, whose columns are already contiguous)
-    /// keeps the per-dimension gather.
+    /// of per-dimension scalar gathers. The `dim % 4` tail keeps the
+    /// per-dimension gather.
     ///
     /// # Safety
     /// AVX2 must be available; `i + 8 <= batch.len()`; the batch shape
@@ -620,30 +575,6 @@ mod x86 {
                     }
                 }
             }
-            Batch::Col {
-                cols,
-                stride,
-                first,
-                ..
-            } => {
-                let base = first + i;
-                for (j, &c) in center.iter().enumerate() {
-                    let cv = _mm256_set1_pd(c);
-                    // SAFETY: `check_shape` verified `dim · stride <=
-                    // cols.len()` and `first + len <= stride`, and the
-                    // caller guarantees `i + 8 <= len`, so the 8 values
-                    // at `j·stride + base ..` are in bounds. Unit
-                    // stride: this is the column-major payoff.
-                    let (q_lo, q_hi) = unsafe {
-                        let p = cols.as_ptr().add(j * stride + base);
-                        (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)))
-                    };
-                    let d_lo = _mm256_sub_pd(cv, q_lo);
-                    let d_hi = _mm256_sub_pd(cv, q_hi);
-                    lo = _mm256_add_pd(lo, _mm256_mul_pd(d_lo, d_lo));
-                    hi = _mm256_add_pd(hi, _mm256_mul_pd(d_hi, d_hi));
-                }
-            }
         }
         // SAFETY: `out` is 8 f64s; two non-overlapping unaligned
         // 4-wide stores.
@@ -718,26 +649,6 @@ mod arm {
                     }
                 }
             }
-            Batch::Col {
-                cols,
-                stride,
-                first,
-                ..
-            } => {
-                let base = first + i;
-                for (j, &c) in center.iter().enumerate() {
-                    let cv = vdupq_n_f64(c);
-                    for (v, a) in acc.iter_mut().enumerate() {
-                        // SAFETY: `check_shape` bounds (`dim · stride
-                        // <= cols.len()`, `first + len <= stride`) and
-                        // the caller's `i + 8 <= len` put both lanes in
-                        // bounds. Unit-stride pair load.
-                        let q = unsafe { vld1q_f64(cols.as_ptr().add(j * stride + base + 2 * v)) };
-                        let d = vsubq_f64(cv, q);
-                        *a = vaddq_f64(*a, vmulq_f64(d, d));
-                    }
-                }
-            }
         }
         for (v, a) in acc.iter().enumerate() {
             // SAFETY: `out` is 8 f64s; four non-overlapping pair
@@ -798,15 +709,7 @@ mod tests {
             .len(),
             2
         );
-        let b = Batch::Col {
-            cols: &flat,
-            stride: 4,
-            first: 1,
-            len: 2,
-            dim: 3,
-        };
-        assert_eq!(b.len(), 2);
-        assert!(!b.is_empty());
+        assert!(Batch::Flat { flat: &[], dim: 3 }.is_empty());
     }
 
     #[test]

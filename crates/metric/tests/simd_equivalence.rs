@@ -6,9 +6,8 @@
 //! add — never FMA), so every distance, every relax update, and every
 //! threshold decision must come out bit-for-bit equal to the scalar
 //! fallback. These tests force the dispatcher both ways through
-//! [`metric::simd::force_mode`] and compare `to_bits()` across all
-//! three batch layouts (`VecPoint` pointer rows, `DenseStore` flat
-//! runs, `DenseStoreColMajor` unit-stride columns).
+//! [`metric::simd::force_mode`] and compare `to_bits()` across both
+//! batch layouts (`VecPoint` pointer rows, `DenseStore` flat runs).
 //!
 //! On hosts without AVX2/NEON both forced modes run the scalar path
 //! and the comparison is trivially true — the suite is also part of
@@ -16,7 +15,7 @@
 //! overrides the env knob so the SIMD path is still exercised.
 
 use metric::simd::{self, SimdMode};
-use metric::{DenseStore, DenseStoreColMajor, Euclidean, Metric, VecPoint};
+use metric::{DenseStore, Euclidean, Metric, VecPoint};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -47,26 +46,20 @@ fn fill(seed: u64, len: usize) -> Vec<f64> {
 
 struct Case {
     store: DenseStore,
-    col: DenseStoreColMajor,
     points: Vec<VecPoint>,
     center: VecPoint,
     center_store: DenseStore,
-    center_col: DenseStoreColMajor,
 }
 
 fn build(dim: usize, n: usize, seed: u64) -> Case {
     let store = DenseStore::from_flat(fill(seed, n * dim), dim);
-    let col = DenseStoreColMajor::from_store(&store);
     let points = store.to_points();
     let center_coords = fill(seed ^ 0xD1CE_F00D, dim);
-    let center_store = DenseStore::from_flat(center_coords.clone(), dim);
     Case {
         store,
-        col,
         points,
-        center: VecPoint::new(center_coords),
-        center_col: DenseStoreColMajor::from_store(&center_store),
-        center_store,
+        center: VecPoint::new(center_coords.clone()),
+        center_store: DenseStore::from_flat(center_coords, dim),
     }
 }
 
@@ -98,8 +91,6 @@ proptest! {
         let case = build(dim, n, seed);
         let rows = case.store.rows();
         let crow = metric::DenseRow::new(case.center_store.row(0));
-        let cols = case.col.rows();
-        let ccol = case.center_col.rows()[0];
 
         let _g = MODE_LOCK.lock().unwrap();
         let run = |mode| {
@@ -108,9 +99,7 @@ proptest! {
             Euclidean.distance_many(&case.center, &case.points, &mut vp);
             let mut dr = vec![0.0; n];
             Euclidean.distance_many(&crow, &rows, &mut dr);
-            let mut cr = vec![0.0; n];
-            Euclidean.distance_many(&ccol, &cols, &mut cr);
-            (vp, dr, cr)
+            (vp, dr)
         };
         let off = run(SimdMode::Off);
         let on = run(SimdMode::On);
@@ -119,11 +108,9 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&off.0), bits(&on.0), "VecPoint lanes");
         prop_assert_eq!(bits(&off.1), bits(&on.1), "DenseRow lanes");
-        prop_assert_eq!(bits(&off.2), bits(&on.2), "ColRow lanes");
-        // The three layouts hold identical coordinates, so the scalar
+        // Both layouts hold identical coordinates, so the scalar
         // results must agree across layouts too.
         prop_assert_eq!(bits(&off.0), bits(&off.1), "layout drift");
-        prop_assert_eq!(bits(&off.0), bits(&off.2), "layout drift");
     }
 
     #[test]
@@ -137,8 +124,6 @@ proptest! {
         let case = build(dim, n, seed);
         let rows = case.store.rows();
         let crow = metric::DenseRow::new(case.center_store.row(0));
-        let cols = case.col.rows();
-        let ccol = case.center_col.rows()[0];
 
         let _g = MODE_LOCK.lock().unwrap();
         let run = |mode| {
@@ -156,19 +141,13 @@ proptest! {
                 let far = Euclidean.relax(&crow, &rows, &mut d, &mut a, cj);
                 out.push((d, a, far));
             }
-            {
-                let mut d = seed_dists(seed, n);
-                let mut a: Vec<usize> = (0..n).map(|i| i % 5).collect();
-                let far = Euclidean.relax(&ccol, &cols, &mut d, &mut a, cj);
-                out.push((d, a, far));
-            }
             out
         };
         let off = run(SimdMode::Off);
         let on = run(SimdMode::On);
         simd::force_mode(None);
 
-        for (label, (o, f)) in ["VecPoint", "DenseRow", "ColRow"]
+        for (label, (o, f)) in ["VecPoint", "DenseRow"]
             .iter()
             .zip(off.iter().zip(on.iter()))
         {
@@ -194,8 +173,6 @@ proptest! {
         let case = build(dim, n, seed);
         let rows = case.store.rows();
         let crow = metric::DenseRow::new(case.center_store.row(0));
-        let cols = case.col.rows();
-        let ccol = case.center_col.rows()[0];
 
         // Thresholds straddling every true distance, including the
         // exact values themselves (the boundary the root-elision
@@ -213,12 +190,7 @@ proptest! {
             simd::force_mode(Some(mode));
             thresholds
                 .iter()
-                .map(|&t| {
-                    (
-                        Euclidean.distance_to_set_within(&crow, &rows, t),
-                        Euclidean.distance_to_set_within(&ccol, &cols, t),
-                    )
-                })
+                .map(|&t| Euclidean.distance_to_set_within(&crow, &rows, t))
                 .collect::<Vec<_>>()
         };
         let off = run(SimdMode::Off);
@@ -226,7 +198,7 @@ proptest! {
         simd::force_mode(None);
         prop_assert_eq!(&off, &on);
         // Every decision must match the definitional scalar answer.
-        for (t, (dr, _)) in thresholds.iter().zip(off.iter()) {
+        for (t, dr) in thresholds.iter().zip(off.iter()) {
             let want = exact.iter().any(|&d| d <= *t);
             prop_assert_eq!(*dr, want, "threshold {}", t);
         }

@@ -25,7 +25,7 @@
 //!   paper's Definition 2), and swaps the rebuilt shard set in
 //!   atomically; pre-rebalance [`ShardedId`]s keep resolving through
 //!   a [`RemapEntry`] table.
-//! * [`PoolState`] / [`ShardPool::checkpoint`] /
+//! * [`PoolState`] / [`ShardPool::checkpoint_consistent`] /
 //!   [`ShardPool::restore`] — serde snapshots of the whole pool
 //!   (engine cover hierarchies included, via
 //!   [`diversity_dynamic::EngineState`]); restored pools answer
@@ -89,7 +89,7 @@
 //! assert!(report.degradation.is_none()); // every shard answered
 //!
 //! // Snapshot and restore: bit-identical answers.
-//! let restored = diversity_serve::ShardPool::restore(Euclidean, pool.checkpoint()?)?;
+//! let restored = diversity_serve::ShardPool::restore(Euclidean, pool.checkpoint_consistent()?)?;
 //! assert_eq!(restored.query(&task)?.value, report.value);
 //! # Ok::<(), diversity::DivError>(())
 //! ```

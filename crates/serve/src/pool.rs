@@ -101,10 +101,10 @@ impl std::fmt::Display for ShardedId {
 
 /// A serde-able snapshot of an entire pool: one [`EngineState`] per
 /// shard plus the router's opaque state. Produced by
-/// [`ShardPool::checkpoint`], consumed by [`ShardPool::restore`];
-/// queries on the restored pool are bit-identical to the live one
-/// (each shard's engine state round-trips losslessly, and the combiner
-/// is deterministic).
+/// [`ShardPool::checkpoint_consistent`], consumed by
+/// [`ShardPool::restore`]; queries on the restored pool are
+/// bit-identical to the live one (each shard's engine state
+/// round-trips losslessly, and the combiner is deterministic).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PoolState<P> {
     /// Per-shard engine checkpoints, in shard order.
@@ -188,9 +188,9 @@ enum Op<P> {
 /// A shard's recovery material: the last checkpointed engine state
 /// plus every mutation acknowledged since. `base + log` always equals
 /// the acknowledged state of the shard, so recovery never loses an
-/// acknowledged write. [`ShardPool::checkpoint`] folds the log into a
-/// fresh `base` (truncating it), bounding replay time and log memory
-/// between checkpoints.
+/// acknowledged write. [`ShardPool::checkpoint_consistent`] folds the
+/// log into a fresh `base` (truncating it), bounding replay time and
+/// log memory between checkpoints.
 struct RecoveryState<P> {
     base: EngineState<P>,
     log: Vec<Op<P>>,
@@ -333,7 +333,8 @@ struct Extraction<P> {
 /// Construction: [`ShardPool::new`]/[`with_config`](Self::with_config)
 /// for an empty pool, `Task::serve` (the `Serve` extension trait) to
 /// opt into a persistent handle from the front door, or
-/// [`restore`](Self::restore) to resume a [`checkpoint`](Self::checkpoint).
+/// [`restore`](Self::restore) to resume a
+/// [`checkpoint_consistent`](Self::checkpoint_consistent).
 pub struct ShardPool<P, M> {
     /// The live shard set, swapped **atomically** by
     /// [`rebalance`](Self::rebalance): readers clone the `Arc` under a
@@ -499,7 +500,8 @@ where
         }
     }
 
-    /// Resumes a pool from a [`checkpoint`](Self::checkpoint). Every
+    /// Resumes a pool from a
+    /// [`checkpoint_consistent`](Self::checkpoint_consistent). Every
     /// shard engine is rebuilt losslessly; queries on the restored
     /// pool are bit-identical to the pool that produced the state.
     ///
@@ -520,7 +522,7 @@ where
     /// inconsistent engine state (truncated/bit-flipped wire bytes) —
     /// returns [`DivError::CorruptState`] so the caller can keep its
     /// last good pool instead of aborting. States produced by
-    /// `checkpoint` always restore.
+    /// `checkpoint_consistent` always restore.
     pub fn restore(metric: M, state: PoolState<P>) -> Result<Self, DivError> {
         if state.shards.is_empty() {
             return Err(DivError::CorruptState {
@@ -1438,53 +1440,6 @@ where
         Ok(report)
     }
 
-    /// Snapshots every shard into a serde-able [`PoolState`]. Shards
-    /// are locked one at a time: the snapshot is per-shard consistent;
-    /// take it at a quiescent point for a cross-shard-exact image.
-    ///
-    /// The checkpoint doubles as each shard's recovery baseline: the
-    /// acknowledged-operation log is folded into it and truncated, so
-    /// periodic checkpoints bound both recovery replay time and log
-    /// memory. Quarantined shards are recovered first (their state is
-    /// fully reconstructible); a shard that cannot be recovered fails
-    /// the checkpoint with the recovery's typed error.
-    pub fn checkpoint(&self) -> Result<PoolState<P>, DivError> {
-        let _span = diversity_obs::span("serve.checkpoint_ns");
-        'restart: loop {
-            let (shards, generation) = self.snapshot();
-            let mut states = Vec::with_capacity(shards.len());
-            for (shard, slot) in shards.iter().enumerate() {
-                self.recover(shard)?;
-                let engine = slot.engine.read();
-                if self.generation.load(Ordering::Acquire) != generation {
-                    // A rebalance landed mid-walk: states imaged so far
-                    // belong to the superseded partition and mixing
-                    // generations could snapshot a point twice. Start
-                    // over on the fresh set.
-                    drop(engine);
-                    continue 'restart;
-                }
-                let state = engine.state();
-                // Refresh the recovery baseline under the engine lock so
-                // no acknowledged op can slip between state and log
-                // truncation.
-                let mut recovery = slot.recovery.lock();
-                recovery.base = state.clone();
-                recovery.log.clear();
-                drop(recovery);
-                drop(engine);
-                states.push(state);
-            }
-            let mut router = self.router.checkpoint();
-            router.shards = states.len() as u64;
-            return Ok(PoolState {
-                shards: states,
-                router,
-                remap: self.remap_entries(),
-            });
-        }
-    }
-
     /// The live remap table as sorted [`RemapEntry`] rows (what
     /// checkpoints persist).
     fn remap_entries(&self) -> Vec<RemapEntry> {
@@ -1498,23 +1453,23 @@ where
         entries
     }
 
-    /// [`checkpoint`](Self::checkpoint) with **quiesced writers**: all
-    /// shard write locks are acquired (in shard order, so two
-    /// concurrent consistent checkpoints cannot deadlock each other or
-    /// the one-lock-at-a-time paths) before any shard is imaged, so
-    /// the snapshot is an exact cross-shard image — no concurrent
-    /// mutation can land between imaging shard `A` and shard `B`.
-    /// Restoring it yields a pool bit-identical to this one at the
-    /// moment of the snapshot, even when taken mid-churn.
+    /// The consistent cut both [`checkpoint_consistent`]
+    /// (Self::checkpoint_consistent) and `rebalance_locked` take:
+    /// recover every shard, take every shard write lock in shard order
+    /// (so two concurrent cuts cannot deadlock each other or the
+    /// one-lock-at-a-time paths), retry on the fresh set if a rebalance
+    /// swapped it meanwhile, recover in place any shard quarantined
+    /// between the recovery pass and the acquisition, then image the
+    /// shard states, router and remap into one [`PoolState`].
     ///
-    /// The cost is availability: writers to *every* shard block for
-    /// the duration (readers too — the engines sit behind `RwLock`s).
-    /// Use the plain [`checkpoint`](Self::checkpoint) when per-shard
-    /// consistency is enough. Like `checkpoint`, quarantined shards
-    /// are recovered first and each shard's recovery baseline is
-    /// refreshed (log folded in and truncated).
-    pub fn checkpoint_consistent(&self) -> Result<PoolState<P>, DivError> {
-        let _span = diversity_obs::span("serve.checkpoint_consistent_ns");
+    /// `f` runs with every write lock still held, so no mutation can
+    /// land between the image and whatever `f` commits; the locks drop
+    /// when it returns. It also gets the shard set the cut was taken
+    /// from and the instant the last write lock was acquired.
+    fn with_cut<R>(
+        &self,
+        f: impl FnOnce(&[Shard<P, M>], PoolState<P>, Instant) -> Result<R, DivError>,
+    ) -> Result<R, DivError> {
         loop {
             let (shards, generation) = self.snapshot();
             // Recovery needs the write lock itself, so run it before
@@ -1524,6 +1479,7 @@ where
             for slot in shards.iter() {
                 guards.push(slot.engine.write());
             }
+            let locked_at = Instant::now();
             if self.generation.load(Ordering::Acquire) != generation {
                 // A rebalance swapped the set while we were acquiring:
                 // these locks fence the superseded shards. Retry on
@@ -1539,24 +1495,48 @@ where
                     self.recover_locked(&shards[shard], shard, &mut *guard)?;
                 }
             }
-            let mut states = Vec::with_capacity(shards.len());
-            for (shard, guard) in guards.iter().enumerate() {
-                let state = guard.state();
-                let mut recovery = shards[shard].recovery.lock();
-                recovery.base = state.clone();
-                recovery.log.clear();
-                drop(recovery);
-                states.push(state);
-            }
-            diversity_obs::count("serve.checkpoints.consistent", 1);
+            let states: Vec<EngineState<P>> = guards.iter().map(|g| g.state()).collect();
             let mut router = self.router.checkpoint();
             router.shards = states.len() as u64;
-            return Ok(PoolState {
+            let cut = PoolState {
                 shards: states,
                 router,
                 remap: self.remap_entries(),
-            });
+            };
+            return f(&shards, cut, locked_at);
         }
+    }
+
+    /// Snapshots the pool into a serde-able [`PoolState`] with
+    /// **quiesced writers**, through the shared all-shard write-lock
+    /// cut (`with_cut`): no concurrent mutation can land between
+    /// imaging shard `A` and shard `B`, so the snapshot is an exact
+    /// cross-shard image. Restoring it yields a pool bit-identical to
+    /// this one at the moment of the snapshot, even when taken
+    /// mid-churn or racing a rebalance.
+    ///
+    /// The cost is availability: writers to *every* shard block for
+    /// the duration (readers too — the engines sit behind `RwLock`s).
+    ///
+    /// The checkpoint doubles as each shard's recovery baseline: the
+    /// acknowledged-operation log is folded into it and truncated, so
+    /// periodic checkpoints bound both recovery replay time and log
+    /// memory. Quarantined shards are recovered first (their state is
+    /// fully reconstructible); a shard that cannot be recovered fails
+    /// the checkpoint with the recovery's typed error.
+    pub fn checkpoint_consistent(&self) -> Result<PoolState<P>, DivError> {
+        let _span = diversity_obs::span("serve.checkpoint_consistent_ns");
+        self.with_cut(|shards, cut, _| {
+            // Still under every engine lock, so no acknowledged op can
+            // slip between the image and the log truncation.
+            for (slot, state) in shards.iter().zip(&cut.shards) {
+                let mut recovery = slot.recovery.lock();
+                recovery.base = state.clone();
+                recovery.log.clear();
+            }
+            diversity_obs::count("serve.checkpoints.consistent", 1);
+            Ok(cut)
+        })
     }
 
     /// Rolling rebalance counters — committed rebalances plus the skew
@@ -1604,13 +1584,15 @@ where
 
     /// The live rebalance protocol, under the rebalance lock:
     ///
-    /// 1. **Quiesce** — recover every shard, then take every shard
-    ///    write lock in shard order (the `checkpoint_consistent`
-    ///    discipline), fencing writers. In-flight *readers* that
-    ///    already hold their snapshot keep extracting from the old
-    ///    shards — the old set stays alive behind its `Arc` until the
-    ///    last of them is done.
-    /// 2. **Cut** — image every shard into a consistent [`PoolState`].
+    /// 1. **Quiesce** — through `with_cut`, the all-shard write-lock
+    ///    primitive [`checkpoint_consistent`](Self::checkpoint_consistent)
+    ///    shares: recover every shard, then take every shard write lock
+    ///    in shard order, fencing writers until the commit. In-flight
+    ///    *readers* that already hold their snapshot keep extracting
+    ///    from the old shards — the old set stays alive behind its
+    ///    `Arc` until the last of them is done.
+    /// 2. **Cut** — `with_cut` images every shard, the router and the
+    ///    remap into one consistent [`PoolState`].
     /// 3. **Re-partition** — [`rebalance_state`]: greedy largest-first
     ///    reassignment, rebuilt engines, composed remap table. Runs
     ///    under `catch_unwind` with the [`faults::sites::REBALANCE`]
@@ -1641,102 +1623,83 @@ where
     fn rebalance_locked(&self, ctl: &mut RebalanceCtl) -> Result<RebalanceReport, DivError> {
         let _span = diversity_obs::span("serve.rebalance_ns");
         let skew_before = self.skew();
-        // Only a rebalance commit swaps the shard set, and we hold the
-        // rebalance lock — this snapshot cannot be superseded beneath us.
-        let shards = self.shards();
-        self.recover_all()?;
-        let mut guards = Vec::with_capacity(shards.len());
-        for slot in shards.iter() {
-            guards.push(slot.engine.write());
-        }
-        // Writers are fenced from here to the commit: that scope is the
-        // pause the report charges to the rebalance.
-        let pause_started = Instant::now();
-        for (shard, guard) in guards.iter_mut().enumerate() {
-            if shards[shard].health() != ShardHealth::Healthy {
-                self.recover_locked(&shards[shard], shard, &mut *guard)?;
-            }
-        }
-        let mut states = Vec::with_capacity(shards.len());
-        for guard in guards.iter() {
-            states.push(guard.state());
-        }
-        let mut router = self.router.checkpoint();
-        router.shards = states.len() as u64;
-        let cut = PoolState {
-            shards: states,
-            router,
-            remap: self.remap_entries(),
-        };
-        let repartitioned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            faults::panic_point(faults::sites::REBALANCE);
-            rebalance_state(&self.metric, &cut)
-        }));
-        let (next, fresh) = match repartitioned {
-            Ok(result) => result?,
-            Err(_panic) => {
-                return Err(DivError::TransientFailure {
-                    site: faults::sites::REBALANCE.into(),
+        // Writers are fenced from the last lock acquisition to the
+        // commit: that scope is the pause the report charges to the
+        // rebalance.
+        let (report, occupancies) = self.with_cut(|_, cut, pause_started| {
+            let repartitioned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                faults::panic_point(faults::sites::REBALANCE);
+                rebalance_state(&self.metric, &cut)
+            }));
+            let (next, fresh) = match repartitioned {
+                Ok(result) => result?,
+                Err(_panic) => {
+                    return Err(DivError::TransientFailure {
+                        site: faults::sites::REBALANCE.into(),
+                    });
+                }
+            };
+            let mut new_shards = Vec::with_capacity(next.shards.len());
+            for (i, s) in next.shards.into_iter().enumerate() {
+                let engine =
+                    DynamicDiversity::resume(self.metric.clone(), s.clone()).map_err(|e| {
+                        DivError::CorruptState {
+                            reason: format!("rebalanced shard {i}: {}", e.reason),
+                        }
+                    })?;
+                new_shards.push(Shard {
+                    occupancy: AtomicUsize::new(engine.len()),
+                    recovery: Mutex::new(RecoveryState {
+                        base: s,
+                        log: Vec::new(),
+                    }),
+                    engine: RwLock::new(engine),
+                    health: AtomicU8::new(ShardHealth::Healthy as u8),
                 });
             }
-        };
-        let mut new_shards = Vec::with_capacity(next.shards.len());
-        for (i, s) in next.shards.into_iter().enumerate() {
-            let engine = DynamicDiversity::resume(self.metric.clone(), s.clone()).map_err(|e| {
-                DivError::CorruptState {
-                    reason: format!("rebalanced shard {i}: {}", e.reason),
-                }
-            })?;
-            new_shards.push(Shard {
-                occupancy: AtomicUsize::new(engine.len()),
-                recovery: Mutex::new(RecoveryState {
-                    base: s,
-                    log: Vec::new(),
-                }),
-                engine: RwLock::new(engine),
-                health: AtomicU8::new(ShardHealth::Healthy as u8),
-            });
-        }
-        let occupancies: Vec<usize> = new_shards
-            .iter()
-            .map(|s| s.occupancy.load(Ordering::Relaxed))
-            .collect();
-        let skew_after = self.router.skew(&occupancies);
+            let occupancies: Vec<usize> = new_shards
+                .iter()
+                .map(|s| s.occupancy.load(Ordering::Relaxed))
+                .collect();
+            let skew_after = self.router.skew(&occupancies);
 
-        // Commit. Everything below is moves and atomic stores — no
-        // fallible operation may appear past this comment. The remap
-        // fold happens under the outer write lock so resolution and
-        // shard set can never be observed straddling the swap.
-        {
-            let mut live = self.shards.write();
-            *live = Arc::new(new_shards);
-            self.generation.fetch_add(1, Ordering::AcqRel);
-            let mut table = self.remap.write();
-            *table = next.remap.iter().map(|e| (e.from, e.to)).collect();
-            drop(table);
-            self.bump_epoch();
-        }
-        let pause = pause_started.elapsed();
-        drop(guards); // the superseded set; last in-flight reader frees it
+            // Commit. Everything below is moves and atomic stores — no
+            // fallible operation may appear past this comment. The remap
+            // fold happens under the outer write lock so resolution and
+            // shard set can never be observed straddling the swap.
+            {
+                let mut live = self.shards.write();
+                *live = Arc::new(new_shards);
+                self.generation.fetch_add(1, Ordering::AcqRel);
+                let mut table = self.remap.write();
+                *table = next.remap.iter().map(|e| (e.from, e.to)).collect();
+                drop(table);
+                self.bump_epoch();
+            }
+            let report = RebalanceReport {
+                skew_before,
+                skew_after,
+                ids_remapped: fresh.len(),
+                pause: pause_started.elapsed(),
+            };
+            Ok((report, occupancies))
+        })?;
+        // The cut's locks fenced the superseded set; they dropped with
+        // it, and its last in-flight reader frees it.
         ctl.last = Some(Instant::now());
         self.rebalances.fetch_add(1, Ordering::AcqRel);
         self.last_skew_before
             .store(skew_before.to_bits(), Ordering::Release);
         self.last_skew_after
-            .store(skew_after.to_bits(), Ordering::Release);
+            .store(report.skew_after.to_bits(), Ordering::Release);
         diversity_obs::count("serve.rebalances", 1);
-        diversity_obs::count("serve.ids_remapped", fresh.len() as u64);
+        diversity_obs::count("serve.ids_remapped", report.ids_remapped as u64);
         if diversity_obs::enabled() {
             for (shard, occupancy) in occupancies.iter().enumerate() {
                 diversity_obs::gauge_set(&self.gauge_names[shard], *occupancy as i64);
             }
         }
-        Ok(RebalanceReport {
-            skew_before,
-            skew_after,
-            ids_remapped: fresh.len(),
-            pause,
-        })
+        Ok(report)
     }
 }
 

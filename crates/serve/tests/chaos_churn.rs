@@ -195,8 +195,9 @@ fn chaos_churn_survives_and_stays_certified() {
         // Checkpoint text through the corruption hook: corrupted text
         // is rejected (never a half-restored pool), clean text restores
         // bit-identically.
-        let clean = serde_json::to_string(&pool.checkpoint().expect("healthy checkpoint"))
-            .expect("serialize pool");
+        let clean =
+            serde_json::to_string(&pool.checkpoint_consistent().expect("healthy checkpoint"))
+                .expect("serialize pool");
         faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
             corrupt: 1.0,
             ..faults::FaultSpec::from_seed(round)

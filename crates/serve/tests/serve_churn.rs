@@ -160,8 +160,9 @@ fn churn_stress(problem: Problem, k: usize) {
         );
 
         // Checkpoint → wire → restore → query: bit-identical.
-        let json = serde_json::to_string(&pool.checkpoint().expect("healthy checkpoint"))
-            .expect("serialize pool");
+        let json =
+            serde_json::to_string(&pool.checkpoint_consistent().expect("healthy checkpoint"))
+                .expect("serialize pool");
         let restored: ShardPool<VecPoint, _> =
             ShardPool::restore(Euclidean, serde_json::from_str(&json).expect("deserialize"))
                 .expect("own checkpoint restores");

@@ -73,7 +73,7 @@ fn main() -> Result<(), DivError> {
     );
 
     // Snapshot → restore: the restarted service answers identically.
-    let snapshot = pool.checkpoint()?;
+    let snapshot = pool.checkpoint_consistent()?;
     let restored: ShardPool<VecPoint, _> = ShardPool::restore(Euclidean, snapshot)?;
     let replay = restored.query(&task)?;
     assert_eq!(replay.value.to_bits(), report.value.to_bits());

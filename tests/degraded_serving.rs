@@ -200,10 +200,11 @@ fn recovered_pool_is_bit_identical_to_a_never_failed_one() {
         .expect("never failed");
     assert_eq!(a, b, "the failed+recovered pool assigns the same handle");
 
-    let json_failed =
-        serde_json::to_string(&failed.checkpoint().expect("checkpoint")).expect("serialize");
+    let json_failed = serde_json::to_string(&failed.checkpoint_consistent().expect("checkpoint"))
+        .expect("serialize");
     let json_pristine =
-        serde_json::to_string(&pristine.checkpoint().expect("checkpoint")).expect("serialize");
+        serde_json::to_string(&pristine.checkpoint_consistent().expect("checkpoint"))
+            .expect("serialize");
     assert_eq!(
         json_failed, json_pristine,
         "checkpoints are byte-identical after recovery"
@@ -227,7 +228,7 @@ fn corrupt_pool_checkpoints_are_rejected_typed() {
     let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let pool = seeded_pool(&task);
-    let state = pool.checkpoint().expect("checkpoint");
+    let state = pool.checkpoint_consistent().expect("checkpoint");
     let json = serde_json::to_string(&state).expect("serialize");
 
     // Zero shards: structurally empty states cannot restore.

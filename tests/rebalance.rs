@@ -274,7 +274,7 @@ fn restored_pools_resolve_pre_rebalance_handles() {
     let (pool, ids) = skewed_pool(&task, 3, 24);
     pool.rebalance().expect("rebalance");
 
-    let state = pool.checkpoint().expect("checkpoint");
+    let state = pool.checkpoint_consistent().expect("checkpoint");
     assert_eq!(state.remap.len(), 24, "the remap table is persisted");
     assert_eq!(state.router.shards, 3, "the shard count is stamped");
 
@@ -293,6 +293,108 @@ fn restored_pools_resolve_pre_rebalance_handles() {
     let replay = restored.query(&task).expect("restored");
     assert_eq!(replay.indices, live.indices);
     assert_eq!(replay.value.to_bits(), live.value.to_bits());
+}
+
+/// Consistent cuts racing a rebalance loop: every cut is one whole
+/// generation of the pool, never a mix of a superseded shard set and
+/// its replacement. With no writes, generation `g` is the `g`-th
+/// offline re-partition of the starting cut, so each racing cut must
+/// be byte-equal to one link of that chain (later cuts, later links),
+/// restore to exactly the pool's points, and the chain's last link
+/// must answer like the quiescent live pool.
+#[test]
+fn consistent_cuts_racing_rebalances_are_whole_generations() {
+    use diversity::wire::to_bytes;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let _serial = serial();
+    let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
+    let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4).expect("pool");
+    let mut inserted: Vec<Vec<u64>> = Vec::new();
+    for i in 0..200u64 {
+        let p = gen_point(i);
+        inserted.push(p.coords().iter().map(|c| c.to_bits()).collect());
+        pool.insert(p).expect("seed");
+    }
+    inserted.sort();
+    let distinct = inserted.windows(2).all(|w| w[0] != w[1]);
+    assert!(distinct, "the seed points must be distinct");
+    let expected = pool.len();
+    let start = pool.checkpoint_consistent().expect("starting cut");
+
+    // Each cut starts as soon as the loop has begun two more
+    // rebalances than it had begun when the previous cut returned: one
+    // of those has committed since, so consecutive cuts are whole
+    // generations apart, and the cut lands while the other one holds
+    // every shard lock. The cut then waits on the set that rebalance
+    // supersedes and must retry on the fresh one. The loop pauses
+    // briefly after each commit so that retry can win the fresh set's
+    // locks.
+    const CUTS: usize = 24;
+    let stop = AtomicBool::new(false);
+    let started = AtomicUsize::new(0);
+    let cuts: Vec<PoolState<VecPoint>> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                started.fetch_add(1, Ordering::Relaxed);
+                pool.rebalance().expect("rebalance");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        let mut seen = 0;
+        let cuts = (0..CUTS)
+            .map(|_| {
+                while started.load(Ordering::Relaxed) < seen + 2 {
+                    std::hint::spin_loop();
+                }
+                let cut = pool.checkpoint_consistent().expect("racing cut");
+                seen = started.load(Ordering::Relaxed);
+                cut
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        cuts
+    });
+    let rebalances = pool.rebalance_stats().rebalances as usize;
+
+    // The generation chain, keyed by its wire bytes.
+    let mut chain = vec![start];
+    for g in 0..rebalances {
+        let (next, _) = rebalance_state(&Euclidean, &chain[g]).expect("re-partition");
+        chain.push(next);
+    }
+    let generation_of: std::collections::HashMap<Vec<u8>, usize> = chain
+        .iter()
+        .enumerate()
+        .map(|(g, state)| (to_bytes(state), g))
+        .collect();
+
+    let mut last = None;
+    for (round, cut) in cuts.into_iter().enumerate() {
+        let g = *generation_of
+            .get(&to_bytes(&cut))
+            .unwrap_or_else(|| panic!("cut {round} is not any whole generation"));
+        assert!(
+            last < Some(g),
+            "cut {round} is generation {g}, the one before it {last:?}"
+        );
+        last = Some(g);
+
+        let restored = ShardPool::restore(Euclidean, cut).expect("cut restores");
+        assert_eq!(restored.len(), expected, "cut {round}");
+        let mut coords: Vec<Vec<u64>> = restored
+            .alive()
+            .iter()
+            .map(|(_, p)| p.coords().iter().map(|c| c.to_bits()).collect())
+            .collect();
+        coords.sort();
+        assert_eq!(coords, inserted, "cut {round}: points lost or duplicated");
+    }
+    let twin = ShardPool::restore(Euclidean, chain.pop().expect("chain")).expect("twin");
+    let live = pool.query(&task).expect("live");
+    let offline = twin.query(&task).expect("twin");
+    assert_eq!(offline.indices, live.indices);
+    assert_eq!(offline.value.to_bits(), live.value.to_bits());
 }
 
 /// Satellite: the packed-`u64` boundary is typed, not corrupting.
@@ -328,7 +430,7 @@ fn restore_rejects_shard_count_and_remap_mismatches() {
     let _serial = serial();
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
     let (pool, _) = skewed_pool(&task, 4, 20);
-    let good = pool.checkpoint().expect("checkpoint");
+    let good = pool.checkpoint_consistent().expect("checkpoint");
 
     // A router state stamped over a different shard count than the
     // checkpoint holds would mis-route every stable-id placement.

@@ -146,7 +146,7 @@ fn pool_checkpoint_roundtrips_over_the_wire() {
     }
     let live = pool.query(&task).unwrap();
 
-    let json = serde_json::to_string(&pool.checkpoint().unwrap()).unwrap();
+    let json = serde_json::to_string(&pool.checkpoint_consistent().unwrap()).unwrap();
     let state: PoolState<VecPoint> = serde_json::from_str(&json).unwrap();
     assert_eq!(state.shards.len(), 3);
     assert_eq!(state.len(), pool.len());

@@ -206,7 +206,7 @@ fn corrupt_pool_checkpoint_is_rejected_not_a_panic() {
     let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 2).unwrap();
     pool.extend((0..20).map(|i| VecPoint::from([i as f64, 0.5 * i as f64])))
         .unwrap();
-    let bytes = to_bytes(&pool.checkpoint().unwrap());
+    let bytes = to_bytes(&pool.checkpoint_consistent().unwrap());
 
     // Every strict prefix fails typed.
     for cut in (0..bytes.len()).step_by(7) {
@@ -230,7 +230,7 @@ fn pool_checkpoint_binary_is_smaller_than_json() {
     let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4).unwrap();
     let (points, _) = datasets::sphere_shell(300, 8, 4, 7);
     pool.extend(points).unwrap();
-    let state = pool.checkpoint().unwrap();
+    let state = pool.checkpoint_consistent().unwrap();
     let bin = to_bytes(&state);
     let json = serde_json::to_string(&state).unwrap();
     assert!(
